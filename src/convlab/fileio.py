@@ -67,8 +67,11 @@ def from_graph6(s: str) -> Graph:
     n, pos = _graph6_decode_n(s)
     need = n * (n - 1) // 2
     body = s[pos:]
-    if len(body) * 6 < need:
+    length = (need + 5) // 6
+    if len(body) < length:
         raise FormatError(f"graph6 body too short for order {n}")
+    if len(body) > length:
+        raise FormatError(f"graph6 body has {len(body) - length} trailing bytes for order {n}")
     bitstream = []
     for c in body:
         val = ord(c) - 63
@@ -76,6 +79,8 @@ def from_graph6(s: str) -> Graph:
             raise FormatError(f"invalid graph6 character {c!r}")
         for shift in (5, 4, 3, 2, 1, 0):
             bitstream.append(val >> shift & 1)
+    if any(bitstream[need:]):
+        raise FormatError("graph6 padding bits are not zero")
     edges = []
     i = 0
     for v in range(n):

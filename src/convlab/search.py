@@ -7,41 +7,39 @@ r-degenerate graph on q vertices has at most rq - r(r+1)/2 edges) with a
 greedy vertex-disjoint cycle packing when r = 1.
 """
 
-from .graph import bit_count, bits, vset_members
-from .structure import degeneracy_peel, is_r_degenerate
+from .graph import bits, components
+from .structure import _shortest_cycle_root, degeneracy_peel, is_r_degenerate
 
 
 def shortest_cycle(g, mask):
-    """Vertex mask of one shortest cycle inside G[mask], or 0 if acyclic."""
-    best_len = None
-    best_cycle = 0
-    for root in bits(mask):
-        dist = {root: 0}
-        parent = {root: -1}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                if best_len is not None and dist[u] * 2 >= best_len:
-                    continue
-                for w in bits(g.adj[u] & mask):
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif w != parent[u] and dist[w] >= dist[u]:
-                        length = dist[u] + dist[w] + 1
-                        if best_len is None or length < best_len:
-                            cyc = 0
-                            for end in (u, w):
-                                x = end
-                                while x != -1:
-                                    cyc |= 1 << x
-                                    x = parent[x]
-                            best_len = length
-                            best_cycle = cyc
-            frontier = nxt
-    return best_cycle
+    """Vertex mask of one shortest cycle inside G[mask], or 0 if acyclic.
+
+    The girth scan names the lowest vertex on a shortest cycle; a BFS from
+    it returns the first cycle of that length it closes.
+    """
+    length, root, core = _shortest_cycle_root(g, mask)
+    if length is None:
+        return 0
+    dist = {root: 0}
+    parent = {root: -1}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in bits(g.adj[u] & core):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    nxt.append(w)
+                elif w != parent[u] and dist[w] >= dist[u] and dist[u] + dist[w] + 1 == length:
+                    cyc = 0
+                    for x in (u, w):
+                        while x != -1:
+                            cyc |= 1 << x
+                            x = parent[x]
+                    return cyc
+        frontier = nxt
+    raise RuntimeError(f"internal error: no cycle of length {length} through {root}")
 
 
 def greedy_cycle_packing(g, mask=None):
@@ -68,7 +66,7 @@ def _greedy_feasible(g, r, within):
         ok, _, core = degeneracy_peel(g, cur, r)
         if ok:
             return cur
-        v = max(bits(core), key=lambda x: (bit_count(g.adj[x] & cur), -x))
+        v = max(bits(core), key=lambda x: ((g.adj[x] & cur).bit_count(), -x))
         cur &= ~(1 << v)
 
 
@@ -77,16 +75,31 @@ def max_r_degenerate_set(g, r, within=None):
 
     Returns (size, mask, nodes_explored).  Deterministic: branches on the
     highest-degree undecided vertex (ties by lowest id), removal first.
+    The components of G[within] are solved one by one and their results
+    added up.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     within = g.full_mask if within is None else within
+    size = mask = nodes = 0
+    for comp in components(g, within):
+        c_size, c_mask, c_nodes = _max_connected(g, r, comp)
+        size += c_size
+        mask |= c_mask
+        nodes += c_nodes
+    return size, mask, nodes
+
+
+def _max_connected(g, r, within):
+    adj = g.adj
     nodes = 0
     best_mask = _greedy_feasible(g, r, within)
-    best = bit_count(best_mask)
+    best = best_mask.bit_count()
     lw_const = r * (r + 1) // 2
 
-    def rec(kept, undecided):
+    def rec(kept, undecided, packing=None):
+        # packing: cycle-packing size of kept | undecided when the caller
+        # knows it (the keep branch has its parent's vertex set)
         nonlocal best, best_mask, nodes
         nodes += 1
         # safe moves: a vertex of remaining degree <= r is always in some
@@ -96,44 +109,50 @@ def max_r_degenerate_set(g, r, within=None):
             if r == 0:
                 blocked = 0
                 for v in bits(kept):
-                    blocked |= g.adj[v]
+                    blocked |= adj[v]
                 undecided &= ~blocked
                 sub = kept | undecided
             moved = 0
             for v in bits(undecided):
-                if bit_count(g.adj[v] & sub) <= r:
+                if (adj[v] & sub).bit_count() <= r:
                     moved |= 1 << v
             if not moved:
                 break
             kept |= moved
             undecided &= ~moved
         if not undecided:
-            size = bit_count(kept)
+            size = kept.bit_count()
             if size > best:
                 best, best_mask = size, kept
             return
-        sub = kept | undecided
-        n_sub = bit_count(sub)
+        n_sub = sub.bit_count()
         if n_sub <= best:
             return
-        degs = [(bit_count(g.adj[v] & sub), v) for v in bits(undecided)]
-        m_sub = sum(bit_count(g.adj[v] & sub) for v in bits(sub)) // 2
-        max_deg = max(bit_count(g.adj[v] & sub) for v in bits(sub))
+        # one degree pass: edge count, maximum degree and branching vertex
+        deg_sum = max_deg = 0
+        v, v_deg = -1, -1
+        for u in bits(sub):
+            d = (adj[u] & sub).bit_count()
+            deg_sum += d
+            if d > max_deg:
+                max_deg = d
+            if d > v_deg and undecided >> u & 1:
+                v, v_deg = u, d
         if max_deg > r:
-            excess = m_sub - r * n_sub + lw_const
+            excess = deg_sum // 2 - r * n_sub + lw_const
             if excess > 0:
                 d_min = -(-excess // (max_deg - r))
                 if n_sub - d_min <= best:
                     return
         if r == 1:
-            packing = len(greedy_cycle_packing(g, sub))
+            if packing is None:
+                packing = len(greedy_cycle_packing(g, sub))
             if n_sub - packing <= best:
                 return
-        _, v = max(degs, key=lambda t: (t[0], -t[1]))
         rest = undecided & ~(1 << v)
         rec(kept, rest)
         if is_r_degenerate(g, kept | (1 << v), r):
-            rec(kept | (1 << v), rest)
+            rec(kept | (1 << v), rest, packing)
 
     rec(0, within)
     return best, best_mask, nodes

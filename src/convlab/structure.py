@@ -28,32 +28,61 @@ def max_degree(g):
     return max(g.degrees(), default=0)
 
 
+def _closed_walk(adj, core, root, bound):
+    """Length of the shortest closed walk from root by a BFS level scan on
+    bitmasks, or bound if it is not shorter.
+
+    An edge inside level d closes a walk of length 2d+1; a vertex reached
+    twice from level d closes one of length 2d+2.
+    """
+    seen = frontier = 1 << root
+    d = 0
+    while frontier and 2 * d + 1 < bound:
+        once = twice = 0
+        for u in bits(frontier):
+            nbrs = adj[u] & core
+            if nbrs & frontier:
+                return 2 * d + 1
+            new = nbrs & ~seen
+            twice |= once & new
+            once |= new
+        if twice:
+            return 2 * d + 2
+        seen |= once
+        frontier = once
+        d += 1
+    return bound
+
+
+def _shortest_cycle_root(g, mask):
+    """(length, root, core) for a shortest cycle of G[mask]: its length,
+    the lowest vertex on one, and the 2-core of G[mask]; (None, -1, 0) if
+    G[mask] is a forest.
+
+    The shortest closed walk from a vertex is a cycle through it when its
+    length is the girth, so the minimum over the roots of the 2-core is the
+    girth and is first reached at the lowest vertex on a shortest cycle.
+    """
+    _, _, core = degeneracy_peel(g, mask, 1)  # the 2-core
+    best = core.bit_count() + 1  # longer than any cycle
+    best_root = -1
+    for root in bits(core):
+        length = _closed_walk(g.adj, core, root, best)
+        if length < best:
+            best, best_root = length, root
+            if best == 3:  # no cycle is shorter
+                break
+    if best_root < 0:
+        return None, -1, 0
+    return best, best_root, core
+
+
 def girth(g, mask=None):
     """Length of a shortest cycle in the subgraph induced by mask, or None
-    if it is a forest.  BFS from every vertex."""
+    if it is a forest."""
     if mask is None:
         mask = g.full_mask
-    best = None
-    for root in bits(mask):
-        dist = {root: 0}
-        parent = {root: -1}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                if best is not None and dist[u] * 2 >= best:
-                    continue
-                for w in bits(g.adj[u] & mask):
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif w != parent[u] and dist[w] >= dist[u]:
-                        cyc = dist[u] + dist[w] + 1
-                        if best is None or cyc < best:
-                            best = cyc
-            frontier = nxt
-    return best
+    return _shortest_cycle_root(g, mask)[0]
 
 
 def triangle_free(g):
@@ -346,13 +375,14 @@ def degeneracy_peel(g, x_mask, r):
     """
     if r < 0:
         raise ValueError("r must be >= 0")
+    adj = g.adj
     cur = x_mask
     order = []
     changed = True
     while changed and cur:
         changed = False
         for v in vset_members(cur):
-            if bit_count(g.adj[v] & cur) <= r:
+            if (adj[v] & cur).bit_count() <= r:
                 cur &= ~(1 << v)
                 order.append(v)
                 changed = True

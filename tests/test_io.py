@@ -77,3 +77,20 @@ def test_load_autodetects():
 def test_load_empty_rejected():
     with pytest.raises(FormatError):
         load_graph("   \n")
+
+
+def test_graph6_trailing_bytes_rejected():
+    text = to_graph6(complete_graph(5))
+    assert from_graph6(text).edge_count == 10
+    with pytest.raises(FormatError, match="trailing"):
+        from_graph6(text + "?")
+    with pytest.raises(FormatError, match="trailing"):
+        load_graph(">>graph6<<" + text + "~~")
+
+
+def test_graph6_nonzero_padding_rejected():
+    # order 5: 10 adjacency bits in two characters, the last two bits padding
+    text = to_graph6(complete_graph(5))
+    assert (ord(text[-1]) - 63) & 0b11 == 0
+    with pytest.raises(FormatError, match="padding"):
+        from_graph6(text[:-1] + chr(ord(text[-1]) + 1))
