@@ -547,22 +547,30 @@ def small_regular(n, d):
 def random_regular_graph(n, d, seed, max_tries=50000):
     """Simple d-regular graph on n vertices via the pairing model.
 
-    Rejection-samples perfect matchings on n*d half-edges until the induced
-    multigraph is simple.  Deterministic for a given seed.
+    Pairs the n*d half-edges one at a time, the last remaining one with a
+    uniformly chosen other, and starts over at the first loop or repeated
+    pair; the accepted graphs are uniform over simple d-regular graphs.
+    Deterministic for a given seed.
     """
     if n * d % 2 or d >= n or d < 0:
         raise ConstructionError(f"no {d}-regular graph on {n} vertices exists")
     rng = random.Random(seed)
-    stubs = [v for v in range(n) for _ in range(d)]
+    all_stubs = [v for v in range(n) for _ in range(d)]
     for _ in range(max_tries):
-        rng.shuffle(stubs)
-        pairs = [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
-        if any(a == b for a, b in pairs):
-            continue
-        norm = {(min(a, b), max(a, b)) for a, b in pairs}
-        if len(norm) != len(pairs):
-            continue
-        return build_graph(n, sorted(norm))
+        stubs = all_stubs.copy()
+        edges = set()
+        while stubs:
+            a = stubs.pop()
+            i = rng.randrange(len(stubs))
+            b = stubs[i]
+            stubs[i] = stubs[-1]
+            stubs.pop()
+            e = (a, b) if a < b else (b, a)
+            if a == b or e in edges:
+                break
+            edges.add(e)
+        else:
+            return build_graph(n, sorted(edges))
     raise ConstructionError(f"failed to sample a simple {d}-regular graph in {max_tries} tries")
 
 

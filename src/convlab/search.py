@@ -1,14 +1,19 @@
-"""Branch-and-bound search for a maximum induced r-degenerate subgraph.
+"""Branch-and-bound search for a maximum set X that peels to empty when a
+vertex v may go once it has at most r(v) neighbours left in X.
 
-This is the solver core: for a (k+r)-regular graph the minimum k-conversion
-set is the complement of a maximum induced r-degenerate vertex set (r = 0:
-independent set, r = 1: forest).  Pruning combines an edge-count bound (an
-r-degenerate graph on q vertices has at most rq - r(r+1)/2 edges) with a
-greedy vertex-disjoint cycle packing when r = 1.
+This is the solver core.  A seed set S converts under threshold k iff its
+complement peels with r(v) = deg(v) - k, so c_k(G) is n minus the largest
+such X; on a (k+r)-regular graph X is a maximum induced r-degenerate set
+(r = 0: independent set, r = 1: forest).  Pruning combines an edge-count
+bound (a peelable set of q vertices spans at most sum over i <= q of
+min(r_(i), q - i) edges, r_(i) the i-th largest threshold; for a uniform r
+that is rq - r(r+1)/2), a greedy vertex-disjoint cycle packing when no
+threshold exceeds 1, and a ceiling on each component: the first vertex of
+X peeled keeps at least deg(v) - r(v) neighbours out of X.
 """
 
 from .graph import bits, components
-from .structure import _shortest_cycle_root, degeneracy_peel, is_r_degenerate
+from .structure import _shortest_cycle_root
 
 
 def shortest_cycle(g, mask):
@@ -58,29 +63,73 @@ def greedy_cycle_packing(g, mask=None):
         cur &= ~cyc
 
 
+def _core(adj, r, mask):
+    """Stuck core left after peeling from G[mask], in ascending id sweeps,
+    every vertex v with at most r[v] neighbours left; 0 iff the set peels
+    to empty.  The core does not depend on the peeling order."""
+    cur = mask
+    changed = True
+    while changed and cur:
+        changed = False
+        for v in bits(cur):
+            if (adj[v] & cur).bit_count() <= r[v]:
+                cur &= ~(1 << v)
+                changed = True
+    return cur
+
+
 def _greedy_feasible(g, r, within):
-    """Feasible incumbent: drop highest-degree core vertices until the
-    peeling succeeds."""
+    """Feasible incumbent: drop the core vertex with the largest degree
+    excess deg(v) - r[v] (ties: lowest id) until the peeling succeeds."""
     cur = within
     while True:
-        ok, _, core = degeneracy_peel(g, cur, r)
-        if ok:
+        core = _core(g.adj, r, cur)
+        if not core:
             return cur
-        v = max(bits(core), key=lambda x: ((g.adj[x] & cur).bit_count(), -x))
+        v = max(bits(core), key=lambda x: ((g.adj[x] & cur).bit_count() - r[x], -x))
         cur &= ~(1 << v)
 
 
-def max_r_degenerate_set(g, r, within=None):
-    """Maximum induced r-degenerate vertex set within the given mask.
-
-    Returns (size, mask, nodes_explored).  Deterministic: branches on the
-    highest-degree undecided vertex (ties by lowest id), removal first.
-    The components of G[within] are solved one by one and their results
-    added up.
+def _edge_caps(thresholds):
+    """cap[q]: the most edges a peelable set of q vertices drawn from these
+    thresholds can span, sum over i <= q of min(t_(i), q - i) with t_(i)
+    the i-th largest.  For a uniform r this is rq - r(r+1)/2 once q >= r.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    ts = sorted(thresholds, reverse=True)
+    t_max = ts[0] if ts else 0
+    prefix = [0]
+    for t in ts:
+        prefix.append(prefix[-1] + t)
+    caps = []
+    for q in range(len(ts) + 1):
+        lo = max(0, q - t_max)  # below lo, q - 1 - i >= t_max >= ts[i]
+        cap = prefix[lo]
+        for i in range(lo, q):
+            cap += min(ts[i], q - 1 - i)
+        caps.append(cap)
+    return caps
+
+
+def max_r_degenerate_set(g, r, within=None):
+    """Maximum vertex set X within the given mask that peels to empty when
+    a vertex v may be peeled once it has at most r[v] neighbours left in X.
+
+    ``r`` is one int for every vertex (X induces an r-degenerate subgraph)
+    or a sequence indexed by vertex; every threshold on ``within`` must be
+    >= 0.  Returns (size, mask, nodes_explored).  Deterministic: branches
+    on the undecided vertex with the largest deg_sub(v) - r[v] (ties by
+    lowest id), removal first.  The components of G[within] are solved one
+    by one and their results added up.
+    """
     within = g.full_mask if within is None else within
+    if isinstance(r, int):
+        if r < 0:
+            raise ValueError("r must be >= 0")
+        r = [r] * g.n
+    elif len(r) != g.n:
+        raise ValueError(f"expected {g.n} thresholds, got {len(r)}")
+    elif any(r[v] < 0 for v in bits(within)):
+        raise ValueError("thresholds on within must be >= 0")
     size = mask = nodes = 0
     for comp in components(g, within):
         c_size, c_mask, c_nodes = _max_connected(g, r, comp)
@@ -95,26 +144,53 @@ def _max_connected(g, r, within):
     nodes = 0
     best_mask = _greedy_feasible(g, r, within)
     best = best_mask.bit_count()
-    lw_const = r * (r + 1) // 2
+    # one pass over the component: its thresholds, the threshold-0 vertices
+    # (a kept one blocks every threshold-0 neighbour), the vertices it
+    # reaches and the least degree excess deg(v) - r[v]
+    comp_r = []
+    zero = 0
+    reach = within
+    slack = None
+    for v in bits(within):
+        rv = r[v]
+        comp_r.append(rv)
+        if not rv:
+            zero |= 1 << v
+        reach |= adj[v]
+        excess = adj[v].bit_count() - rv
+        if slack is None or excess < slack:
+            slack = excess
+    caps = _edge_caps(comp_r)
+    r_min, r_max = min(comp_r), max(comp_r)
+    no_excess = -r_max - 1  # below every deg_sub(v) - r[v]
+    # cycles only bound the search when no vertex may keep two neighbours
+    packing_bound = r_max == 1
+    # the first vertex of X peeled has at least `slack` neighbours outside
+    # X, all of them reached from the component
+    ceiling = reach.bit_count() - slack
 
     def rec(kept, undecided, packing=None):
         # packing: cycle-packing size of kept | undecided when the caller
         # knows it (the keep branch has its parent's vertex set)
         nonlocal best, best_mask, nodes
         nodes += 1
-        # safe moves: a vertex of remaining degree <= r is always in some
-        # optimal solution; for r = 0 kept neighbours force removals
+        if best >= ceiling:
+            return
+        # safe moves: a vertex with at most r[v] neighbours left is always
+        # in some optimal solution; threshold-0 kept vertices block
         while True:
-            sub = kept | undecided
-            if r == 0:
+            if zero:
                 blocked = 0
-                for v in bits(kept):
+                for v in bits(kept & zero):
                     blocked |= adj[v]
-                undecided &= ~blocked
-                sub = kept | undecided
+                blocked &= undecided & zero
+                if blocked:
+                    undecided &= ~blocked
+                    packing = None
+            sub = kept | undecided
             moved = 0
             for v in bits(undecided):
-                if (adj[v] & sub).bit_count() <= r:
+                if (adj[v] & sub).bit_count() <= r[v]:
                     moved |= 1 << v
             if not moved:
                 break
@@ -130,29 +206,31 @@ def _max_connected(g, r, within):
             return
         # one degree pass: edge count, maximum degree and branching vertex
         deg_sum = max_deg = 0
-        v, v_deg = -1, -1
+        v, v_excess = -1, no_excess
         for u in bits(sub):
             d = (adj[u] & sub).bit_count()
             deg_sum += d
             if d > max_deg:
                 max_deg = d
-            if d > v_deg and undecided >> u & 1:
-                v, v_deg = u, d
-        if max_deg > r:
-            excess = deg_sum // 2 - r * n_sub + lw_const
-            if excess > 0:
-                d_min = -(-excess // (max_deg - r))
-                if n_sub - d_min <= best:
-                    return
-        if r == 1:
+            if d - r[u] > v_excess and undecided >> u & 1:
+                v, v_excess = u, d - r[u]
+        # each removed vertex lowers the excess by at most max_deg - r_min
+        excess = deg_sum // 2 - caps[n_sub]
+        if excess > 0:
+            d_min = -(-excess // (max_deg - r_min))
+            if n_sub - d_min <= best:
+                return
+        if packing_bound:
             if packing is None:
                 packing = len(greedy_cycle_packing(g, sub))
             if n_sub - packing <= best:
                 return
-        rest = undecided & ~(1 << v)
+        bit = 1 << v
+        rest = undecided & ~bit
         rec(kept, rest)
-        if is_r_degenerate(g, kept | (1 << v), r):
-            rec(kept | (1 << v), rest, packing)
+        # kept peels to empty, so kept | v does too when v can go first
+        if (adj[v] & kept).bit_count() <= r[v] or not _core(adj, r, kept | bit):
+            rec(kept | bit, rest, packing)
 
     rec(0, within)
     return best, best_mask, nodes

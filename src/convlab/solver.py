@@ -1,4 +1,10 @@
-"""Exact k-conversion numbers with witnesses, cross-checked two ways."""
+"""Exact k-conversion numbers with witnesses.
+
+``ck_exact`` is the one solver: a branch and bound over the complement of
+the seed set (see ``search``) for every graph and threshold.  ``ck_oracle``
+and ``verify_witness`` (the CLI's ``--certify``) are brute force, guarded at
+n <= 30, and serve as cross-checks.
+"""
 
 import time
 from dataclasses import dataclass
@@ -7,7 +13,6 @@ from itertools import combinations
 from .graph import bit_count, vset
 from .process import is_conversion_set
 from .search import max_r_degenerate_set
-from .structure import max_degree, regular_degree
 
 ORACLE = "Oracle"
 COMPLEMENT_BNB = "ComplementBnB"
@@ -48,7 +53,8 @@ def ck_oracle(g, k, guard=ORACLE_GUARD):
     """Brute force: smallest conversion set by increasing subset size.
 
     The witness is the lexicographically least minimum (combinations are
-    generated in lexicographic order).  Guarded by vertex count.
+    generated in lexicographic order).  Guarded by vertex count; tests use
+    it to cross-check ck_exact.
     """
     if g.n > guard:
         raise OracleGuardExceeded(f"oracle guard exceeded: n={g.n} > {guard}")
@@ -70,36 +76,30 @@ def ck_oracle(g, k, guard=ORACLE_GUARD):
 
 
 def ck_exact(g, k):
-    """Exact c_k(G).
+    """Exact c_k(G) for any graph and threshold k >= 1.
 
-    Regular graphs of degree k+r with 0 <= r < k use the complement method
-    (maximum induced r-degenerate subgraph); everything else falls back to
-    the brute-force oracle.
+    S converts iff its complement X peels to empty when a vertex v goes
+    once it has at most r(v) = deg(v) - k neighbours left in X, so the
+    witness is the complement of a maximum such X from the branch and
+    bound.  Vertices with deg(v) < k are always seeds.  The witness is
+    re-simulated before it is returned.
     """
     if k < 1:
         raise ValueError("threshold k must be >= 1")
     start = time.perf_counter()
-    if g.n == 0:
-        return SolveResult(0, 0, COMPLEMENT_BNB, 0, 0.0)
-    if max_degree(g) < k:
-        # no vertex can ever convert, the seed must be everything
-        return SolveResult(g.n, g.full_mask, ORACLE, 0, time.perf_counter() - start)
-    d = regular_degree(g)
-    if d is not None and k <= d < 2 * k:
-        r = d - k
-        size, kept, nodes = max_r_degenerate_set(g, r)
-        witness = g.full_mask & ~kept
-        result = SolveResult(
-            value=g.n - size,
-            witness=witness,
-            method=COMPLEMENT_BNB,
-            nodes_explored=nodes,
-            elapsed=time.perf_counter() - start,
-        )
-        if not is_conversion_set(g, witness, k):
-            raise RuntimeError("internal error: complement witness does not convert")
-        return result
-    return ck_oracle(g, k)
+    r = [d - k for d in g.degrees()]
+    within = vset(v for v in range(g.n) if r[v] >= 0)
+    size, kept, nodes = max_r_degenerate_set(g, r, within)
+    witness = g.full_mask & ~kept
+    if not is_conversion_set(g, witness, k):
+        raise RuntimeError("internal error: complement witness does not convert")
+    return SolveResult(
+        value=g.n - size,
+        witness=witness,
+        method=COMPLEMENT_BNB,
+        nodes_explored=nodes,
+        elapsed=time.perf_counter() - start,
+    )
 
 
 def verify_witness(g, k, result):

@@ -2,13 +2,10 @@
 conversion process over a deterministic corpus of constructed instances.
 
 Suites report per-instance expected/observed pairs so failures are
-replayable; run_suites executes several suites on a thread pool capped by
-the CONVLAB_THREADS environment variable.
+replayable; run_suites executes the requested suites one after another.
 """
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -568,17 +565,6 @@ SUITES = {
 }
 
 
-def worker_count():
-    env = os.environ.get("CONVLAB_THREADS", "")
-    try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    if n < 1:
-        n = min(8, os.cpu_count() or 1)
-    return n
-
-
 def run_suite(suite_id):
     if suite_id not in SUITES:
         raise KeyError(f"unknown verification suite {suite_id!r}")
@@ -589,9 +575,6 @@ def run_suite(suite_id):
 
 
 def run_suites(suite_ids=None):
-    """Run the requested suites (default: all) on a thread pool; results
-    come back in request order regardless of completion order."""
-    ids = list(SUITES) if suite_ids is None else list(suite_ids)
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        futures = [pool.submit(run_suite, sid) for sid in ids]
-        return [f.result() for f in futures]
+    """Run the requested suites (default: all) serially, in request order."""
+    ids = list(SUITES) if suite_ids is None else suite_ids
+    return [run_suite(sid) for sid in ids]

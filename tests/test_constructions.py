@@ -217,6 +217,16 @@ def test_random_regular_deterministic():
         random_regular_graph(7, 3, seed=1)
 
 
+def test_random_regular_uniform_over_labelled_graphs():
+    # 70 labelled cubic graphs on 6 vertices: 10 copies of K33, 60 prisms
+    counts = {}
+    for seed in range(7000):
+        adj = random_regular_graph(6, 3, seed=seed).adj
+        counts[adj] = counts.get(adj, 0) + 1
+    assert len(counts) == 70
+    assert 50 < min(counts.values()) and max(counts.values()) < 150  # mean 100
+
+
 def test_build_recipe_dispatch():
     g, seed = build_recipe(Recipe("extremal", {"k": "3"}))
     assert g.n == 8 and seed is not None

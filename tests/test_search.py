@@ -3,6 +3,8 @@ component additivity."""
 
 import random
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -144,3 +146,24 @@ def test_disconnected_graph_adds_up_components():
         size, mask, _ = max_r_degenerate_set(g, r)
         assert size == sum(max_r_degenerate_set(h, r)[0] for h in parts)
         assert mask.bit_count() == size and is_r_degenerate(g, mask, r)
+
+
+def test_uniform_threshold_sequence_matches_int():
+    cat = catalog()
+    for name in ("petersen", "g1", "heawood"):
+        g = cat[name]
+        for r in (0, 1, 2):
+            assert max_r_degenerate_set(g, [r] * g.n) == max_r_degenerate_set(g, r)
+
+
+def test_thresholds_rejected():
+    g = catalog()["petersen"]
+    with pytest.raises(ValueError):
+        max_r_degenerate_set(g, -1)
+    with pytest.raises(ValueError):
+        max_r_degenerate_set(g, [1] * (g.n - 1))
+    r = [1] * g.n
+    r[3] = -1
+    with pytest.raises(ValueError):
+        max_r_degenerate_set(g, r)
+    assert max_r_degenerate_set(g, r, g.full_mask & ~(1 << 3))[0] == 7  # some optimum avoids 3

@@ -1,5 +1,7 @@
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convlab.constructions import catalog, random_regular_graph, small_regular
 from convlab.graph import (
@@ -7,11 +9,14 @@ from convlab.graph import (
     build_graph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
+    empty_graph,
     path_graph,
     vset_members,
 )
 from convlab.process import is_conversion_set
 from convlab.solver import (
+    ORACLE,
     OracleGuardExceeded,
     ck_exact,
     ck_oracle,
@@ -145,3 +150,65 @@ def test_small_regular_inputs():
             g = small_regular(n, d)
             for k in range(max(1, (d + 1) // 2), d + 1):
                 assert ck_exact(g, k).value == ck_oracle(g, k).value
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on at most 10 vertices of every density, with up to two
+    isolated vertices; vertices of degree below k are common."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    density = draw(st.integers(min_value=1, max_value=9)) / 10
+    rnd = draw(st.randoms(use_true_random=False))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density]
+    return build_graph(n + draw(st.integers(min_value=0, max_value=2)), edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.integers(min_value=1, max_value=4))
+def test_exact_matches_oracle_on_any_graph(g, k):
+    res = ck_exact(g, k)
+    assert res.value == ck_oracle(g, k).value
+    assert bit_count(res.witness) == res.value
+    assert is_conversion_set(g, res.witness, k)
+    assert res.method != ORACLE
+
+
+def test_exact_matches_oracle_on_random_graphs():
+    import random
+
+    rng = random.Random(29)
+    for _ in range(400):
+        n = rng.randrange(6, 12)
+        p = rng.uniform(0.1, 0.9)
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < p])
+        for k in range(1, 5):
+            assert ck_exact(g, k).value == ck_oracle(g, k).value, (g.edges(), k)
+
+
+def test_cycle_threshold_one_past_oracle_guard():
+    res = ck_exact(cycle_graph(40), 1)
+    assert res.value == 1 and res.method != ORACLE
+
+
+def test_paths_threshold_two():
+    # both ends are seeds and every other interior vertex converts
+    for n in range(1, 201):
+        assert ck_exact(path_graph(n), 2).value == n // 2 + 1, n
+
+
+def test_degree_below_threshold_seeds_everything():
+    g = disjoint_union(path_graph(5), empty_graph(3))
+    for k in (3, 4):
+        res = ck_exact(g, k)
+        assert res.value == g.n and res.witness == g.full_mask
+        assert res.method != ORACLE
+
+
+def test_exact_never_reports_oracle():
+    cat = catalog()
+    graphs = [cat["petersen"], cat["k4"], path_graph(7), empty_graph(2),
+              disjoint_union(cycle_graph(5), complete_graph(5))]
+    for g in graphs:
+        for k in range(1, 6):
+            assert ck_exact(g, k).method != ORACLE

@@ -1,6 +1,6 @@
 import pytest
 
-from convlab.verify import SUITES, run_suite, run_suites, worker_count
+from convlab.verify import SUITES, run_suite, run_suites
 
 
 def test_suite_registry_names():
@@ -29,9 +29,3 @@ def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("nope")
 
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("CONVLAB_THREADS", "2")
-    assert worker_count() == 2
-    monkeypatch.delenv("CONVLAB_THREADS")
-    assert worker_count() >= 1
