@@ -9,11 +9,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
-from .graph import are_isomorphic, bit_count, vset_members
+from .graph import are_isomorphic, vset_members
 from .process import is_conversion_set
 from .search import greedy_cycle_packing
 from .structure import (
-    has_cycle,
     is_connected,
     is_cubic,
     is_k_connected,
@@ -133,16 +132,17 @@ def equality_certificate(g, k, s_mask):
     rest = g.full_mask & ~s_mask
     independent = all(g.adj[v] & s_mask == 0 for v in vset_members(s_mask))
     if r == 1:
-        tight = independent and is_connected(g, rest) and not has_cycle(g, rest)
+        tight = independent and is_connected(g, rest) and is_r_degenerate(g, rest, 1)
     else:
         if not is_r_degenerate(g, rest, r):
             raise ValueError("complement of a conversion set must be r-degenerate")
         h, _ = induced_subgraph(g, rest)
         tight = independent and is_maximal_r_degenerate(h, r)
     exact = Fraction((k - r) * g.n + (r + 1) * r, 2 * k)
-    meets_exact = Fraction(bit_count(s_mask)) == exact
+    meets_exact = Fraction(s_mask.bit_count()) == exact
     # a structural equality certificate and the numeric test must agree
-    assert tight == meets_exact, "equality condition disagrees with the exact bound"
+    if tight != meets_exact:
+        raise RuntimeError("internal error: equality condition disagrees with the exact bound")
     if not tight:
         return NO_EQUALITY
     return MEETS_STATON_EQUALITY if r == 1 else MEETS_GENERAL_EQUALITY

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 from .graph import (
     Graph,
-    bit_count,
     bits,
     build_graph,
     complete_bipartite,
@@ -145,7 +144,8 @@ def join_with_empty(h, k):
         for v in range(k):
             edges.append((v, k + j))
     g = build_graph(k + extra, edges)
-    assert regular_degree(g) == k
+    if regular_degree(g) != k:
+        raise RuntimeError(f"internal error: join with an empty graph is not {k}-regular")
     return g, vset(range(k))
 
 
@@ -250,9 +250,10 @@ def building_block(i):
         raise ConstructionError(f"block index must be 1..4, got {i}")
     edge_list, attach, pair = _BLOCKS[i]
     g = build_graph(max(max(e) for e in edge_list) + 1, edge_list)
-    for a in attach:
-        assert g.degree(a) == 2
-    assert is_conversion_set(g, vset(pair), 2)
+    if any(g.degree(a) != 2 for a in attach):
+        raise RuntimeError(f"internal error: block {i} has an attachment of degree other than 2")
+    if not is_conversion_set(g, vset(pair), 2):
+        raise RuntimeError(f"internal error: the pair of block {i} does not convert it")
     return BuildingBlock(graph=g, attachments=attach, conversion_pair=pair)
 
 
@@ -290,7 +291,8 @@ def path_replacement(m, leaf_block=1):
     mid = building_block(2)
     blocks = [leaf] + [mid] * (m - 2) + [leaf]
     g = _splice_blocks([(i, i + 1) for i in range(m - 1)], blocks)
-    assert is_cubic(g) and is_connected(g)
+    if not (is_cubic(g) and is_connected(g)):
+        raise RuntimeError("internal error: path replacement is not a connected cubic graph")
     return g
 
 
@@ -304,7 +306,8 @@ def cycle_replacement(m, block=2):
         raise ConstructionError("cycle block must be 2 or 4")
     b = building_block(block)
     g = _splice_blocks([(i, (i + 1) % m) for i in range(m)], [b] * m)
-    assert is_cubic(g) and is_connected(g)
+    if not (is_cubic(g) and is_connected(g)):
+        raise RuntimeError("internal error: cycle replacement is not a connected cubic graph")
     return g
 
 
@@ -350,7 +353,8 @@ def product_deleted(g, a_graph, removed=None, seed=0):
     for u, v in g.edges():
         edges.append((ports[u].pop(0) + u * size, ports[v].pop(0) + v * size))
     out = build_graph(g.n * size, edges)
-    assert regular_degree(out) == r
+    if regular_degree(out) != r:
+        raise RuntimeError(f"internal error: deleted product is not {r}-regular")
     return out
 
 
@@ -395,7 +399,8 @@ def doubled_block(b, u, v):
     edges.append((index[ec], index[ed] + n1))
     edges.append((index[ed], index[ec] + n1))
     g = build_graph(2 * n1, edges)
-    assert is_cubic(g)
+    if not is_cubic(g):
+        raise RuntimeError("internal error: doubled block is not cubic")
     return g
 
 
@@ -436,7 +441,8 @@ def tree_gadget_graph(tree):
     for u, v in tree.edges():
         edges.append((ports[u].pop(0) + offset[u], ports[v].pop(0) + offset[v]))
     g = build_graph(total, edges)
-    assert is_cubic(g) and is_connected(g)
+    if not (is_cubic(g) and is_connected(g)):
+        raise RuntimeError("internal error: tree gadget graph is not a connected cubic graph")
     return g
 
 
@@ -450,7 +456,7 @@ def _gadget_at(g, s):
             if g.has_edge(w, x):
                 continue
             common = g.adj[w] & g.adj[x] & ~(1 << s)
-            if bit_count(common) != 2:
+            if common.bit_count() != 2:
                 continue
             y, z = vset_members(common)
             if not g.has_edge(y, z):
@@ -484,7 +490,7 @@ def is_tree_gadget_graph(g):
         if seen >> v & 1:
             continue
         inside = g.adj[v] & rest
-        if bit_count(inside) != 2:
+        if inside.bit_count() != 2:
             return False
         a, b = vset_members(inside)
         if not g.has_edge(a, b):
@@ -535,7 +541,8 @@ def small_regular(n, d):
         for i in range(n):
             edges.append((i, (i + off) % n))
     g = build_graph(n, edges)
-    assert regular_degree(g) == d
+    if regular_degree(g) != d:
+        raise RuntimeError(f"internal error: small_regular({n}, {d}) is not {d}-regular")
     return g
 
 

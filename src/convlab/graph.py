@@ -24,7 +24,7 @@ class Graph:
     edge_count: int
 
     def degree(self, v):
-        return bit_count(self.adj[v])
+        return self.adj[v].bit_count()
 
     def neighbors(self, v):
         return bits(self.adj[v])
@@ -42,7 +42,7 @@ class Graph:
         return out
 
     def degrees(self):
-        return [bit_count(a) for a in self.adj]
+        return [a.bit_count() for a in self.adj]
 
     @property
     def full_mask(self):
@@ -50,10 +50,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"
-
-
-def bit_count(mask):
-    return mask.bit_count()
 
 
 def bits(mask):

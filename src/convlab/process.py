@@ -2,12 +2,16 @@
 
 A process starts from a seed set; at each step every unconverted vertex with
 at least k converted neighbours converts.  Conversions never revert.
+
+The dual view goes through ``structure.degeneracy_peel`` with per-vertex
+thresholds r(v) = deg(v) - k: a seed S converts everything iff V - S peels
+to empty, and the stuck core is exactly what S leaves unconverted.
 """
 
 from dataclasses import dataclass
 
-from .graph import bit_count, bits, vset_members
-from .structure import is_r_degenerate, regular_degree
+from .graph import bits, vset_members
+from .structure import degeneracy_peel, is_r_degenerate, regular_degree
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,7 @@ def run_process(g, seed_mask, k):
     while converted != full:
         new = 0
         for v in bits(full & ~converted):
-            if bit_count(g.adj[v] & converted) >= k:
+            if (g.adj[v] & converted).bit_count() >= k:
                 new |= 1 << v
         if not new:
             break
@@ -75,31 +79,21 @@ def is_conversion_set(g, seed_mask, k):
 
 
 def is_k_immune(g, u_mask, k):
-    """True iff every vertex of the set has fewer than k outside neighbours."""
+    """True iff every vertex of the set has fewer than k outside neighbours,
+    that is, no vertex of it can be peeled."""
     if u_mask == 0:
         raise ValueError("a k-immune set must be nonempty")
-    outside = g.full_mask & ~u_mask
-    return all(bit_count(g.adj[v] & outside) < k for v in bits(u_mask))
+    return residual_core(g, u_mask, k) == u_mask
 
 
 def residual_core(g, x_mask, k):
     """Peel from X every vertex with >= k neighbours outside the shrinking
-    set; the stuck core is empty iff seeding V-X converts all of X.
-
-    Vertices are removed in ascending id order each sweep.
+    set, that is, at most deg(v) - k inside it; the stuck core is what
+    seeding V-X leaves unconverted, so it is empty iff V-X converts all of X.
     """
     if k < 1:
         raise ValueError("threshold k must be >= 1")
-    cur = x_mask
-    changed = True
-    while changed and cur:
-        changed = False
-        for v in vset_members(cur):
-            outside = g.full_mask & ~cur
-            if bit_count(g.adj[v] & outside) >= k:
-                cur &= ~(1 << v)
-                changed = True
-    return cur
+    return degeneracy_peel(g, x_mask, [d - k for d in g.degrees()])
 
 
 def contains_k_immune_set(g, x_mask, k):

@@ -9,11 +9,13 @@ bound (a peelable set of q vertices spans at most sum over i <= q of
 min(r_(i), q - i) edges, r_(i) the i-th largest threshold; for a uniform r
 that is rq - r(r+1)/2), a greedy vertex-disjoint cycle packing when no
 threshold exceeds 1, and a ceiling on each component: the first vertex of
-X peeled keeps at least deg(v) - r(v) neighbours out of X.
+X peeled keeps at least deg(v) - r(v) neighbours out of X.  Feasibility of
+the incumbent and of the keep branch is decided by the package's one peel,
+``structure.degeneracy_peel``, with the same per-vertex thresholds.
 """
 
 from .graph import bits, components
-from .structure import _shortest_cycle_root
+from .structure import _shortest_cycle_root, degeneracy_peel
 
 
 def shortest_cycle(g, mask):
@@ -63,27 +65,12 @@ def greedy_cycle_packing(g, mask=None):
         cur &= ~cyc
 
 
-def _core(adj, r, mask):
-    """Stuck core left after peeling from G[mask], in ascending id sweeps,
-    every vertex v with at most r[v] neighbours left; 0 iff the set peels
-    to empty.  The core does not depend on the peeling order."""
-    cur = mask
-    changed = True
-    while changed and cur:
-        changed = False
-        for v in bits(cur):
-            if (adj[v] & cur).bit_count() <= r[v]:
-                cur &= ~(1 << v)
-                changed = True
-    return cur
-
-
 def _greedy_feasible(g, r, within):
     """Feasible incumbent: drop the core vertex with the largest degree
     excess deg(v) - r[v] (ties: lowest id) until the peeling succeeds."""
     cur = within
     while True:
-        core = _core(g.adj, r, cur)
+        core = degeneracy_peel(g, cur, r)
         if not core:
             return cur
         v = max(bits(core), key=lambda x: ((g.adj[x] & cur).bit_count() - r[x], -x))
@@ -229,7 +216,7 @@ def _max_connected(g, r, within):
         rest = undecided & ~bit
         rec(kept, rest)
         # kept peels to empty, so kept | v does too when v can go first
-        if (adj[v] & kept).bit_count() <= r[v] or not _core(adj, r, kept | bit):
+        if (adj[v] & kept).bit_count() <= r[v] or not degeneracy_peel(g, kept | bit, r):
             rec(kept | bit, rest, packing)
 
     rec(0, within)

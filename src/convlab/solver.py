@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import bit_count, vset
+from .graph import vset
 from .process import is_conversion_set
 from .search import max_r_degenerate_set
 
@@ -105,7 +105,7 @@ def ck_exact(g, k):
 def verify_witness(g, k, result):
     """Re-verify a SolveResult: the witness converts, has the right size,
     and no smaller conversion set exists (oracle sweep, guarded)."""
-    if bit_count(result.witness) != result.value:
+    if result.witness.bit_count() != result.value:
         return False
     if not is_conversion_set(g, result.witness, k):
         return False

@@ -1,11 +1,18 @@
 """Structural predicates: regularity, girth, bridges, connectivity,
 degeneracy and chromatic class (cubic graphs).
+
+``degeneracy_peel`` is the package's one peel: it drops every vertex v with
+at most r[v] neighbours left in the set until none can go, and returns the
+stuck core.  With per-vertex thresholds r(v) = deg(v) - k it decides
+k-conversion (``process.residual_core``) and the solver's feasibility
+checks; with a uniform r = 1 it finds the 2-core, which is empty iff the
+set induces a forest.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, bits, bit_count, components, is_connected, vset_members
+from .graph import Graph, bits, components, is_connected
 
 CLASS1 = "Class1"
 CLASS2 = "Class2"
@@ -63,7 +70,7 @@ def _shortest_cycle_root(g, mask):
     length is the girth, so the minimum over the roots of the 2-core is the
     girth and is first reached at the lowest vertex on a shortest cycle.
     """
-    _, _, core = degeneracy_peel(g, mask, 1)  # the 2-core
+    core = degeneracy_peel(g, mask, [1] * g.n)  # the 2-core
     best = core.bit_count() + 1  # longer than any cycle
     best_root = -1
     for root in bits(core):
@@ -87,17 +94,6 @@ def girth(g, mask=None):
 
 def triangle_free(g):
     return all(not (g.adj[u] & g.adj[v]) for u, v in g.edges())
-
-
-def has_cycle(g, mask=None):
-    """True iff the subgraph induced by mask contains a cycle."""
-    if mask is None:
-        mask = g.full_mask
-    for comp in components(g, mask):
-        edges = sum(bit_count(g.adj[v] & comp) for v in bits(comp)) // 2
-        if edges >= bit_count(comp):
-            return True
-    return False
 
 
 def bridges(g):
@@ -246,12 +242,9 @@ def cyclic_edge_connectivity_at_least(g, c):
             comps = components(h)
             if len(comps) < 2:
                 continue
-            cyclic = 0
-            for comp in comps:
-                m_comp = sum(bit_count(h.adj[v] & comp) for v in bits(comp)) // 2
-                if m_comp >= bit_count(comp):
-                    cyclic += 1
-            if cyclic >= 2:
+            # a component holds a cycle iff it meets the 2-core
+            core = degeneracy_peel(h, h.full_mask, [1] * h.n)
+            if sum(1 for comp in comps if comp & core) >= 2:
                 return False
     return True
 
@@ -302,7 +295,7 @@ def edge_coloring(g, num_colors):
         for i in uncolored:
             u, v = edges[i]
             avail = full & ~(vused[u] | vused[v])
-            k = bit_count(avail)
+            k = avail.bit_count()
             if k == 0:
                 return i, 0
             key = (k, i)
@@ -366,32 +359,31 @@ def chromatic_class(g):
     return CLASS1 if edge_coloring(g, 3) is not None else CLASS2
 
 
-def degeneracy_peel(g, x_mask, r):
-    """Peel vertices of induced degree <= r from G[x_mask].
+def degeneracy_peel(g, mask, r):
+    """Stuck core left after peeling from G[mask], in ascending id sweeps,
+    every vertex v with at most r[v] neighbours left; 0 iff the set peels
+    to empty.
 
-    Returns (ok, elimination_order, core_mask): ok is True iff the peeling
-    empties the set; on success core_mask == 0, on failure the stuck core is
-    returned and the order covers the peeled prefix.
+    ``r`` is indexed by vertex; a vertex with a negative threshold never
+    goes.  The core does not depend on the peeling order.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
     adj = g.adj
-    cur = x_mask
-    order = []
+    cur = mask
     changed = True
     while changed and cur:
         changed = False
-        for v in vset_members(cur):
-            if (adj[v] & cur).bit_count() <= r:
+        for v in bits(cur):
+            if (adj[v] & cur).bit_count() <= r[v]:
                 cur &= ~(1 << v)
-                order.append(v)
                 changed = True
-    return cur == 0, order, cur
+    return cur
 
 
 def is_r_degenerate(g, x_mask, r):
-    ok, _, _ = degeneracy_peel(g, x_mask, r)
-    return ok
+    """True iff G[x_mask] peels to empty at the uniform threshold r."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    return not degeneracy_peel(g, x_mask, [r] * g.n)
 
 
 def is_maximal_r_degenerate(h, r):

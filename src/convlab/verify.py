@@ -35,7 +35,6 @@ from .constructions import (
 )
 from .graph import (
     are_isomorphic,
-    bit_count,
     build_graph,
     complete_graph,
     components,
@@ -58,6 +57,7 @@ from .structure import (
     cyclic_edge_connectivity_at_least,
     girth,
     is_k_connected,
+    is_r_degenerate,
     regular_degree,
     triangle_free,
 )
@@ -178,7 +178,7 @@ def suite_nonseed_bound(size_limit=6):
     (k(k+1)-1)/(k-1) vertices lie outside the seed."""
     out = []
     for name, g, k, seed in _seed_layer_instances(size_limit):
-        nonseed = g.n - bit_count(seed)
+        nonseed = g.n - seed.bit_count()
         _check(out, f"{name}: non-seed count < (k(k+1)-1)/(k-1)", True,
                Fraction(nonseed) < Fraction(k * (k + 1) - 1, k - 1))
     return out
@@ -190,8 +190,8 @@ def suite_late_layer_bound(size_limit=6):
     out = []
     for name, g, k, seed in _seed_layer_instances(size_limit):
         trace = run_process(g, seed, k)
-        late = bit_count(trace.layer_union(2))
-        s1 = bit_count(trace.layers[1]) if len(trace.layers) > 1 else 0
+        late = trace.layer_union(2).bit_count()
+        s1 = trace.layers[1].bit_count() if len(trace.layers) > 1 else 0
         _check(out, f"{name}: late conversions <= k", True, late <= k)
         _check(out, f"{name}: late conversions within refined cap", True,
                Fraction(late) <= Fraction(k * (k + 1) + s1 * (1 - k) - 1, k - 1))
@@ -319,10 +319,10 @@ def suite_block_quota():
         b = building_block(i)
         _check(out, f"block {i}: designated pair converts the block", True,
                is_conversion_set(b.graph, vset(b.conversion_pair), 2))
-        cycles_cover = all(
-            any(not (1 << v) & cyc for cyc in _all_cycle_masks(b.graph))
-            for v in range(b.graph.n)
-        )
+        # some cycle avoids v iff G - v is not a forest
+        full = b.graph.full_mask
+        cycles_cover = all(not is_r_degenerate(b.graph, full & ~(1 << v), 1)
+                           for v in range(b.graph.n))
         _check(out, f"block {i}: no vertex lies on every cycle", True, cycles_cover)
     g = path_replacement(2, 1)  # two order-5 blocks spliced
     value = ck_exact(g, 2).value
@@ -332,27 +332,11 @@ def suite_block_quota():
     for combo in combinations(range(g.n), value):
         if not is_conversion_set(g, vset(combo), 2):
             continue
-        if any(bit_count(vset(combo) & b) != 2 for b in blocks):
+        if any((vset(combo) & b).bit_count() != 2 for b in blocks):
             ok = False
     _check(out, "path-replacement(2,1): every minimum set meets each block twice",
            True, ok)
     return out
-
-
-def _all_cycle_masks(g):
-    """Vertex masks of all cycles of a small graph (DFS enumeration)."""
-    masks = set()
-
-    def walk(start, v, visited):
-        for w in g.neighbors(v):
-            if w == start and bit_count(visited) >= 3:
-                masks.add(visited)
-            elif w > start and not visited >> w & 1:
-                walk(start, w, visited | 1 << w)
-
-    for s in range(g.n):
-        walk(s, s, 1 << s)
-    return masks
 
 
 def suite_cyclically_4_connected():
@@ -460,7 +444,7 @@ def suite_product_quota():
     prod = product_deleted(complete_graph(4), g1)
     res = ck_exact(prod, 2)
     copies = [vset(range(i * 7, (i + 1) * 7)) for i in range(4)]
-    quota_ok = all(bit_count(res.witness & c) >= 2 for c in copies)
+    quota_ok = all((res.witness & c).bit_count() >= 2 for c in copies)
     _check(out, "k4*g1: witness meets every copy at least twice", True, quota_ok)
     big = product_deleted(catalog_graph("k33"), catalog_graph("blob"))
     _check(out, "k33*blob: order", 66, big.n)

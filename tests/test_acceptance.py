@@ -29,7 +29,6 @@ from convlab.constructions import (
 )
 from convlab.graph import (
     are_isomorphic,
-    bit_count,
     build_graph,
     complete_graph,
     path_graph,
@@ -99,7 +98,7 @@ def test_criterion_02_join_round_trip():
             core = small_regular(k, t)
             g, seed = join_with_empty(core, k)
             assert regular_degree(g) == k
-            assert bit_count(seed) == k and is_conversion_set(g, seed, k)
+            assert seed.bit_count() == k and is_conversion_set(g, seed, k)
             res = ck_exact(g, k)
             assert res.value == k
             rest = g.full_mask & ~res.witness
@@ -110,12 +109,12 @@ def test_criterion_03_extremal_family():
     for k in range(2, 7):
         g, seed = extremal_regular(k)
         assert g.n == 2 * k + 2 and regular_degree(g) == k + 1
-        assert bit_count(seed) == k
+        assert seed.bit_count() == k
         trace = run_process(g, seed, k)
         assert trace.complete
         nonseed = g.n - k
         assert nonseed < (k * (k + 1) - 1) / (k - 1)  # strict order cap
-        late = bit_count(trace.layer_union(2))
+        late = trace.layer_union(2).bit_count()
         assert late <= k  # everything after the first step is small
     g3, _ = extremal_regular(3)
     assert are_isomorphic(g3, catalog()["layered4reg"])

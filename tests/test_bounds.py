@@ -142,6 +142,18 @@ def test_certificate_rejects_non_conversion_set():
         equality_certificate(catalog()["petersen"], 2, vset([0]))
 
 
+def test_certificate_disagreement_raises(monkeypatch):
+    # the witness on this 5-regular circulant is independent and misses the
+    # fractional bound 16/6, so a maximality check that says yes contradicts
+    # the numbers; the error must not depend on `assert` (python -O)
+    g = small_regular(10, 5)
+    res = ck_exact(g, 3)
+    assert equality_certificate(g, 3, res.witness) == NO_EQUALITY
+    monkeypatch.setattr("convlab.bounds.is_maximal_r_degenerate", lambda h, r: True)
+    with pytest.raises(RuntimeError, match="internal error"):
+        equality_certificate(g, 3, res.witness)
+
+
 def test_best_lower_bound():
     assert best_lower_bound(catalog()["petersen"], 2) == 3
     assert best_lower_bound(catalog()["dodecahedron"], 2) == 6

@@ -24,7 +24,6 @@ from convlab.constructions import (
 )
 from convlab.graph import (
     are_isomorphic,
-    bit_count,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -102,7 +101,7 @@ def test_building_blocks():
 def test_join_with_empty():
     g, seed = join_with_empty(complete_graph(3), 3)
     assert are_isomorphic(g, complete_graph(4))
-    assert bit_count(seed) == 3 and is_conversion_set(g, seed, 3)
+    assert seed.bit_count() == 3 and is_conversion_set(g, seed, 3)
     g5, seed5 = join_with_empty(cycle_graph(5), 5)
     assert regular_degree(g5) == 5 and g5.n == 8
     assert is_conversion_set(g5, seed5, 5)
@@ -117,7 +116,7 @@ def test_extremal_regular_even_and_odd():
         g, seed = extremal_regular(k)
         assert g.n == 2 * k + 2
         assert regular_degree(g) == k + 1
-        assert bit_count(seed) == k
+        assert seed.bit_count() == k
         trace = run_process(g, seed, k)
         assert trace.complete
     with pytest.raises(ConstructionError):

@@ -3,7 +3,6 @@ import pytest
 from convlab.graph import (
     GraphError,
     are_isomorphic,
-    bit_count,
     build_graph,
     complete_bipartite,
     complete_graph,
@@ -57,14 +56,14 @@ def test_edges_sorted_lexicographic():
 def test_vset_roundtrip():
     mask = vset([4, 1, 7])
     assert vset_members(mask) == [1, 4, 7]
-    assert bit_count(mask) == 3
+    assert mask.bit_count() == 3
 
 
 def test_components_and_connectivity():
     g = disjoint_union(cycle_graph(3), path_graph(2))
     comps = components(g)
     assert len(comps) == 2
-    assert sorted(bit_count(c) for c in comps) == [2, 3]
+    assert sorted(c.bit_count() for c in comps) == [2, 3]
     assert not is_connected(g)
     assert is_connected(cycle_graph(5))
 

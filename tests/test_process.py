@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from convlab.constructions import catalog, extremal_regular
 from convlab.graph import (
-    bit_count,
+    bits,
     build_graph,
     complete_bipartite,
     complete_graph,
@@ -25,8 +25,8 @@ def test_layered_trace_on_catalog_4regular():
     g = catalog()["layered4reg"]
     trace = run_process(g, vset([0, 1, 2]), 3)
     assert trace.complete
-    assert bit_count(trace.layers[1]) == 2
-    assert bit_count(trace.layer_union(2)) == 3
+    assert trace.layers[1].bit_count() == 2
+    assert trace.layer_union(2).bit_count() == 3
     assert trace.time == 3
 
 
@@ -62,7 +62,7 @@ def test_layers_disjoint_and_supported():
         if t >= 1:
             for v in range(g.n):
                 if layer >> v & 1:
-                    assert bit_count(g.adj[v] & seen) >= 2
+                    assert (g.adj[v] & seen).bit_count() >= 2
         seen |= layer
 
 
@@ -129,6 +129,27 @@ def test_immune_set_duality(data):
         assert converts
 
 
+@settings(max_examples=200, deadline=None)
+@given(graph_and_sets())
+def test_residual_core_is_unconverted_set(data):
+    g, small, _, k = data
+    rest = g.full_mask & ~small
+    assert residual_core(g, rest, k) == g.full_mask & ~run_process(g, small, k).converted
+
+
+def _is_k_immune_one_pass(g, u_mask, k):
+    outside = g.full_mask & ~u_mask
+    return all((g.adj[v] & outside).bit_count() < k for v in bits(u_mask))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_sets())
+def test_is_k_immune_matches_one_pass(data):
+    g, _, big, k = data
+    if big:
+        assert is_k_immune(g, big, k) == _is_k_immune_one_pass(g, big, k)
+
+
 def test_characterization_regular_cases():
     pet = catalog()["petersen"]
     rep = characterization_check(pet, vset([0, 2, 8]), 2)
@@ -146,6 +167,6 @@ def test_extremal_trace_satisfies_layer_caps():
         g, seed = extremal_regular(k)
         trace = run_process(g, seed, k)
         assert trace.complete
-        late = bit_count(trace.layer_union(2))
+        late = trace.layer_union(2).bit_count()
         assert late <= k
         assert g.n - k < (k * (k + 1) - 1) / (k - 1)

@@ -71,10 +71,13 @@ def test_peel_core_is_fixed_point():
     rng = random.Random(109)
     for _ in range(300):
         n = rng.randrange(2, 12)
-        g, _ = _random_graph(rng, n, 0.35)
+        g, edges = _random_graph(rng, n, 0.35)
+        nxg = nx.Graph(edges)
+        nxg.add_nodes_from(range(n))
         for r in (0, 1, 2):
-            ok, order, core = degeneracy_peel(g, g.full_mask, r)
-            assert ok == (core == 0)
+            core = degeneracy_peel(g, g.full_mask, [r] * n)
+            # the stuck core is the (r+1)-core, empty iff r-degenerate
+            assert core == vset(nx.k_core(nxg, r + 1))
             # every core vertex keeps more than r neighbours in the core
             for v in range(n):
                 if core >> v & 1:

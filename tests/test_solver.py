@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from convlab.constructions import catalog, random_regular_graph, small_regular
 from convlab.graph import (
-    bit_count,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -128,8 +127,8 @@ def test_verify_witness_confirms_minimality():
     assert verify_witness(g, 2, res)
     fake = type(res)(value=res.value + 1, witness=res.witness | 1 << 5,
                      method=res.method, nodes_explored=0, elapsed=0.0)
-    if bit_count(fake.witness) != fake.value:
-        fake = type(res)(value=bit_count(res.witness | 1 << 5),
+    if fake.witness.bit_count() != fake.value:
+        fake = type(res)(value=(res.witness | 1 << 5).bit_count(),
                          witness=res.witness | 1 << 5, method=res.method,
                          nodes_explored=0, elapsed=0.0)
     assert not verify_witness(g, 2, fake)  # a smaller set exists
@@ -168,7 +167,7 @@ def small_graphs(draw):
 def test_exact_matches_oracle_on_any_graph(g, k):
     res = ck_exact(g, k)
     assert res.value == ck_oracle(g, k).value
-    assert bit_count(res.witness) == res.value
+    assert res.witness.bit_count() == res.value
     assert is_conversion_set(g, res.witness, k)
     assert res.method != ORACLE
 

@@ -149,10 +149,11 @@ def test_edge_coloring_is_proper():
 
 
 def test_degeneracy_peel():
-    ok, order, core = degeneracy_peel(path_graph(5), vset(range(5)), 1)
-    assert ok and core == 0 and sorted(order) == list(range(5))
-    ok, _, core = degeneracy_peel(cycle_graph(5), vset(range(5)), 1)
-    assert not ok and core == vset(range(5))
+    assert degeneracy_peel(path_graph(5), vset(range(5)), [1] * 5) == 0
+    assert degeneracy_peel(cycle_graph(5), vset(range(5)), [1] * 5) == vset(range(5))
+    # a vertex with a negative threshold never goes
+    assert degeneracy_peel(path_graph(5), vset(range(5)), [1, 1, -1, 1, 1]) == vset([2])
+    assert degeneracy_peel(cycle_graph(5), vset(range(5)), [2, 2, -1, 2, 2]) == vset([2])
     assert is_r_degenerate(complete_graph(4), vset(range(4)), 3)
     assert not is_r_degenerate(complete_graph(4), vset(range(4)), 2)
 
