@@ -14,6 +14,8 @@ from .graph import (
     cycle_graph,
     empty_graph,
     path_graph,
+    vset,
+    vset_members,
 )
 from .fileio import FormatError, from_edge_list, from_graph6, load_graph, to_edge_list, to_graph6
 from .process import (
@@ -35,14 +37,14 @@ from .structure import (
 )
 from .solver import SolveResult, ck_exact, ck_oracle, forest_number, independence_number
 from .bounds import equality_certificate, lower_bounds, upper_bounds_cubic
-from .constructions import Recipe, build_recipe, catalog
+from .constructions import Recipe, build_recipe, catalog, catalog_graph
 from .verify import run_suite, run_suites
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "GraphError", "build_graph", "complete_bipartite", "complete_graph",
-    "cycle_graph", "empty_graph", "path_graph",
+    "cycle_graph", "empty_graph", "path_graph", "vset", "vset_members",
     "FormatError", "from_edge_list", "from_graph6", "load_graph",
     "to_edge_list", "to_graph6",
     "ConversionTrace", "characterization_check", "is_conversion_set",
@@ -51,6 +53,6 @@ __all__ = [
     "is_r_degenerate", "structure_report",
     "SolveResult", "ck_exact", "ck_oracle", "forest_number", "independence_number",
     "equality_certificate", "lower_bounds", "upper_bounds_cubic",
-    "Recipe", "build_recipe", "catalog",
+    "Recipe", "build_recipe", "catalog", "catalog_graph",
     "run_suite", "run_suites",
 ]

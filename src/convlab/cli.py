@@ -32,10 +32,12 @@ def _read_graph(source):
         return load_graph(fh.read())
 
 
-def _parse_seed(text):
-    if not text.strip():
-        return 0
-    return vset(int(tok) for tok in text.replace(",", " ").split())
+def _parse_seed(text, n):
+    ids = [int(tok) for tok in text.replace(",", " ").split()]
+    for v in ids:
+        if not 0 <= v < n:
+            raise ValueError(f"seed vertex {v} is not a vertex of the graph (0..{n - 1})")
+    return vset(ids)
 
 
 def _emit(args, payload, text):
@@ -47,14 +49,14 @@ def _emit(args, payload, text):
 
 def cmd_simulate(args):
     g = _read_graph(args.graph)
-    trace = run_process(g, _parse_seed(args.seed_set), args.k)
+    trace = run_process(g, _parse_seed(args.seed_set, g.n), args.k)
     _emit(args, trace.to_dict(), trace.to_text())
     return EXIT_PASS
 
 
 def cmd_check(args):
     g = _read_graph(args.graph)
-    trace = run_process(g, _parse_seed(args.seed_set), args.k)
+    trace = run_process(g, _parse_seed(args.seed_set, g.n), args.k)
     verdict = "converts" if trace.complete else "does not convert"
     _emit(args, {"complete": trace.complete, "time": trace.time},
           f"seed {verdict} the graph (threshold {args.k}, {trace.time} steps)")
@@ -238,7 +240,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except Exception as exc:  # a crash is an error (2), never a "fail" (1)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -15,6 +15,7 @@ from .graph import (
     build_graph,
     complete_bipartite,
     complete_graph,
+    induced_subgraph,
     is_connected,
     path_graph,
     vset,
@@ -257,25 +258,28 @@ def building_block(i):
     return BuildingBlock(graph=g, attachments=attach, conversion_pair=pair)
 
 
-def _splice_blocks(host_edges, blocks):
-    """Replace host vertex i by blocks[i]; host edges consume attachment
-    vertices of the two endpoint blocks in ascending order."""
-    offset = []
-    total = 0
-    for b in blocks:
-        offset.append(total)
-        total += b.graph.n
-    edges = []
-    for i, b in enumerate(blocks):
-        edges += [(u + offset[i], v + offset[i]) for u, v in b.graph.edges()]
-    ports = [list(b.attachments) for b in blocks]
+def _splice_blocks(host_edges, pieces):
+    """Replace host vertex i by pieces[i] = (order, edges, ports); each host
+    edge, in the given order, joins the next unused port of each endpoint's
+    piece."""
+    offset = [0]
+    for order, _, _ in pieces:
+        offset.append(offset[-1] + order)
+    edges = [(x + off, y + off) for off, (_, piece_edges, _) in zip(offset, pieces)
+             for x, y in piece_edges]
+    ports = [list(p) for _, _, p in pieces]
     for i, j in host_edges:
         if not ports[i] or not ports[j]:
             raise ConstructionError(f"host degree exceeds attachment count at edge ({i}, {j})")
         edges.append((ports[i].pop(0) + offset[i], ports[j].pop(0) + offset[j]))
-    if any(p for p in ports):
+    if any(ports):
         raise ConstructionError("unused attachment vertices remain after splicing")
-    return build_graph(total, edges)
+    return build_graph(offset[-1], edges)
+
+
+def _block_piece(i):
+    b = building_block(i)
+    return b.graph.n, b.graph.edges(), b.attachments
 
 
 def path_replacement(m, leaf_block=1):
@@ -287,10 +291,9 @@ def path_replacement(m, leaf_block=1):
         raise ConstructionError(f"requires m >= 2, got {m}")
     if leaf_block not in (1, 3):
         raise ConstructionError("leaf block must be 1 or 3")
-    leaf = building_block(leaf_block)
-    mid = building_block(2)
-    blocks = [leaf] + [mid] * (m - 2) + [leaf]
-    g = _splice_blocks([(i, i + 1) for i in range(m - 1)], blocks)
+    leaf = _block_piece(leaf_block)
+    pieces = [leaf] + [_block_piece(2)] * (m - 2) + [leaf]
+    g = _splice_blocks([(i, i + 1) for i in range(m - 1)], pieces)
     if not (is_cubic(g) and is_connected(g)):
         raise RuntimeError("internal error: path replacement is not a connected cubic graph")
     return g
@@ -304,8 +307,7 @@ def cycle_replacement(m, block=2):
         raise ConstructionError(f"requires m >= 3, got {m}")
     if block not in (2, 4):
         raise ConstructionError("cycle block must be 2 or 4")
-    b = building_block(block)
-    g = _splice_blocks([(i, (i + 1) % m) for i in range(m)], [b] * m)
+    g = _splice_blocks([(i, (i + 1) % m) for i in range(m)], [_block_piece(block)] * m)
     if not (is_cubic(g) and is_connected(g)):
         raise RuntimeError("internal error: cycle replacement is not a connected cubic graph")
     return g
@@ -333,26 +335,17 @@ def product_deleted(g, a_graph, removed=None, seed=0):
         removed = a_graph.n - 1
     if not 0 <= removed < a_graph.n:
         raise ConstructionError(f"removed vertex {removed} out of range")
-    piece_ids = [v for v in range(a_graph.n) if v != removed]
-    index = {v: i for i, v in enumerate(piece_ids)}
-    piece_edges = [(index[u], index[v]) for u, v in a_graph.edges()
-                   if removed not in (u, v)]
-    attach = [index[v] for v in sorted(a_graph.neighbors(removed))]
-    size = a_graph.n - 1
+    piece, old_ids = induced_subgraph(a_graph, a_graph.full_mask & ~(1 << removed))
+    piece_edges = piece.edges()
+    attach = [old_ids.index(v) for v in a_graph.neighbors(removed)]
     rng = random.Random(seed) if seed else None
-
-    edges = []
-    ports = []
-    for v in range(g.n):
-        off = v * size
-        edges += [(x + off, y + off) for x, y in piece_edges]
-        p = list(attach)
+    pieces = []
+    for _ in range(g.n):
+        ports = list(attach)
         if rng is not None:
-            rng.shuffle(p)
-        ports.append(p)
-    for u, v in g.edges():
-        edges.append((ports[u].pop(0) + u * size, ports[v].pop(0) + v * size))
-    out = build_graph(g.n * size, edges)
+            rng.shuffle(ports)
+        pieces.append((piece.n, piece_edges, ports))
+    out = _splice_blocks(g.edges(), pieces)
     if regular_degree(out) != r:
         raise RuntimeError(f"internal error: deleted product is not {r}-regular")
     return out
@@ -424,23 +417,10 @@ def tree_gadget_graph(tree):
     for v in range(tree.n):
         if tree.degree(v) not in (1, 3):
             raise ConstructionError(f"internal vertex {v} has degree {tree.degree(v)}, expected 1 or 3")
-    edges = []
-    offset = []
-    total = 0
-    ports = []
-    for v in range(tree.n):
-        offset.append(total)
-        if tree.degree(v) == 1:
-            edges += [(x + total, y + total) for x, y in _GADGET_EDGES]
-            ports.append([_GADGET_PORT])
-            total += 5
-        else:
-            edges += [(total, total + 1), (total + 1, total + 2), (total + 2, total)]
-            ports.append([0, 1, 2])
-            total += 3
-    for u, v in tree.edges():
-        edges.append((ports[u].pop(0) + offset[u], ports[v].pop(0) + offset[v]))
-    g = build_graph(total, edges)
+    leaf = (5, _GADGET_EDGES, [_GADGET_PORT])
+    triangle = (3, [(0, 1), (1, 2), (2, 0)], [0, 1, 2])
+    g = _splice_blocks(tree.edges(), [leaf if tree.degree(v) == 1 else triangle
+                                      for v in range(tree.n)])
     if not (is_cubic(g) and is_connected(g)):
         raise RuntimeError("internal error: tree gadget graph is not a connected cubic graph")
     return g

@@ -179,37 +179,36 @@ def is_connected(g, mask=None):
 
 
 def are_isomorphic(g, h):
-    """Backtracking isomorphism test for small graphs (degree-refined)."""
+    """Backtracking isomorphism test for small graphs (degree-refined).
+
+    Maps g's vertices by descending degree, then id, each to the lowest
+    unused vertex of h with the same degree that keeps every adjacency to
+    the vertices mapped before it; a dead end moves the last mapped vertex
+    to its next candidate.  The images sit on an explicit stack.
+    """
     if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    if sorted(g.degrees()) != sorted(h.degrees()):
         return False
     degs_g = g.degrees()
     degs_h = h.degrees()
-    order = sorted(range(g.n), key=lambda v: (-degs_g[v], v))
-    mapping = [-1] * g.n
-    used = [False] * h.n
-
-    def extend(i):
-        if i == g.n:
-            return True
-        v = order[i]
-        for w in range(h.n):
-            if used[w] or degs_h[w] != degs_g[v]:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if g.has_edge(v, u) != h.has_edge(w, mapping[u]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
+    if sorted(degs_g) != sorted(degs_h):
         return False
-
-    return extend(0)
+    order = sorted(range(g.n), key=lambda v: (-degs_g[v], v))
+    images = []  # images[j] is the image of order[j]
+    used = w = 0  # the images as a mask; the next candidate
+    while len(images) < g.n:
+        v = order[len(images)]
+        need = vset(x for u, x in zip(order, images) if g.has_edge(v, u))
+        while w < h.n and (used >> w & 1 or degs_h[w] != degs_g[v]
+                           or h.adj[w] & used != need):
+            w += 1
+        if w < h.n:
+            images.append(w)
+            used |= 1 << w
+            w = 0
+        elif not images:
+            return False
+        else:
+            w = images.pop()
+            used ^= 1 << w
+            w += 1
+    return True

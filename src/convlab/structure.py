@@ -249,100 +249,57 @@ def cyclic_edge_connectivity_at_least(g, c):
     return True
 
 
-def _dfs_edge_order(g):
-    """Edge ids ordered by a DFS tour from vertex 0 (ties by lowest id)."""
-    edges = g.edges()
-    eid = {e: i for i, e in enumerate(edges)}
-    order = []
-    seen_e = set()
-    visited = [False] * g.n
-    for root in range(g.n):
-        if visited[root]:
-            continue
-        stack = [root]
-        visited[root] = True
-        while stack:
-            v = stack.pop()
-            for w in g.neighbors(v):
-                e = (min(v, w), max(v, w))
-                if e not in seen_e:
-                    seen_e.add(e)
-                    order.append(eid[e])
-                if not visited[w]:
-                    visited[w] = True
-                    stack.append(w)
-    return [edges[i] for i in order]
-
-
 def edge_coloring(g, num_colors):
-    """Proper edge colouring with the given palette, or None.
+    """Proper edge colouring {(u, v): colour} with colours below
+    num_colors, or None.  Deterministic.
 
-    Backtracking over edges in DFS-tour order; at each step the most
-    constrained edge is coloured first (forced colours propagate), ties by
-    edge position.  Deterministic.
+    Backtracking over an explicit stack of [edge, colours it may still
+    try]: the next edge is the uncoloured one with the fewest free colours
+    (ties by position in ``g.edges()``; the scan stops at an edge with
+    none), and its colours are tried lowest first.  The edges at vertex 0
+    are fixed to colours 0, 1, 2, ... up front, which loses no solution
+    since colour classes are interchangeable.
     """
-    edges = _dfs_edge_order(g)
-    m = len(edges)
+    edges = g.edges()
     full = (1 << num_colors) - 1
-    vused = [0] * g.n
-    colors = [-1] * m
-    # symmetry breaking: edges at the first branch vertex get fixed colours
-    uncolored = set(range(m))
-
-    def choose():
-        best = None
-        best_key = None
-        for i in uncolored:
-            u, v = edges[i]
-            avail = full & ~(vused[u] | vused[v])
-            k = avail.bit_count()
-            if k == 0:
-                return i, 0
-            key = (k, i)
-            if best_key is None or key < best_key:
-                best, best_key = i, key
-        return best, best_key[0]
-
-    def solve():
-        if not uncolored:
-            return True
-        i, navail = choose()
-        if navail == 0:
-            return False
-        u, v = edges[i]
-        avail = full & ~(vused[u] | vused[v])
-        uncolored.discard(i)
-        for col in bits(avail):
-            bit = 1 << col
-            colors[i] = col
-            vused[u] |= bit
-            vused[v] |= bit
-            if solve():
-                return True
-            vused[u] &= ~bit
-            vused[v] &= ~bit
-            colors[i] = -1
-        uncolored.add(i)
-        return False
-
-    # fix the colours of the edges at vertex 0 (colour classes are
-    # interchangeable, so this loses no solutions)
-    first = [i for i, (u, v) in enumerate(edges) if u == 0 or v == 0]
-    for col, i in enumerate(first[:num_colors]):
-        u, v = edges[i]
-        if (vused[u] | vused[v]) & (1 << col):
+    used = [0] * g.n  # colours at each vertex
+    colour = [-1] * len(edges)
+    for i, (u, v) in enumerate(edges[:num_colors]):
+        if u:  # past the edges at vertex 0
             break
-        colors[i] = col
-        vused[u] |= 1 << col
-        vused[v] |= 1 << col
-        uncolored.discard(i)
-
-    if not solve():
-        return None
-    out = {}
-    for i, e in enumerate(edges):
-        out[e] = colors[i]
-    return out
+        colour[i] = i
+        used[u] |= 1 << i
+        used[v] |= 1 << i
+    stack = []
+    while True:
+        fewest = num_colors + 1
+        for i, (u, v) in enumerate(edges):
+            if colour[i] < 0:
+                free = full & ~(used[u] | used[v])
+                if free.bit_count() < fewest:
+                    pick, fewest = [i, free], free.bit_count()
+                    if not free:
+                        break
+        if fewest > num_colors:  # every edge is coloured
+            return dict(zip(edges, colour))
+        stack.append(pick)
+        while stack:  # give the top edge its next colour, backtracking
+            i, free = stack[-1]
+            u, v = edges[i]
+            if colour[i] >= 0:  # take back the colour it had
+                used[u] ^= 1 << colour[i]
+                used[v] ^= 1 << colour[i]
+                colour[i] = -1
+            if free:
+                low = free & -free
+                stack[-1][1] = free ^ low
+                colour[i] = low.bit_length() - 1
+                used[u] ^= low
+                used[v] ^= low
+                break
+            stack.pop()
+        else:
+            return None
 
 
 def chromatic_class(g):

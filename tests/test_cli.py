@@ -90,3 +90,26 @@ def test_stdin_pipe(capsys, monkeypatch):
     code = main(["classify", "--graph", "-"])
     out = capsys.readouterr().out
     assert code == EXIT_PASS and "regular_degree: 3" in out
+
+
+def test_internal_error_exits_2_with_one_line(capsys, monkeypatch):
+    def broken(g):
+        raise RuntimeError("internal error: simulated failure")
+
+    monkeypatch.setattr("convlab.cli.structure_report", broken)
+    code = main(["classify", "--graph", "k4"])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.splitlines() == ["error: internal error: simulated failure"]
+    assert "Traceback" not in err
+
+
+def test_seed_set_must_name_vertices(capsys):
+    # {0, 1} converts K4 at k = 2; a vertex outside the graph is an error,
+    # not a silent "does not convert"
+    assert main(["check", "--graph", "k4", "--seed-set", "0,1", "-k", "2"]) == EXIT_PASS
+    assert main(["check", "--graph", "k4", "--seed-set", "0,1,9", "-k", "2"]) == EXIT_ERROR
+    assert "9" in capsys.readouterr().err
+    assert main(["simulate", "--graph", "k4", "--seed-set", "0,-1", "-k", "2"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "-1" in err and "shift count" not in err

@@ -22,6 +22,7 @@ from convlab.constructions import (
     tree_gadget_graph,
     triangle_replace,
 )
+from convlab.fileio import to_graph6
 from convlab.graph import (
     are_isomorphic,
     build_graph,
@@ -248,3 +249,20 @@ def test_build_recipe_deterministic():
     g1, _ = build_recipe(r)
     g2, _ = build_recipe(r)
     assert g1.adj == g2.adj
+
+
+def test_vertex_replacements_pinned():
+    # the four vertex-replacement builders share one splicing helper;
+    # their graphs (and so every value computed on them) must not move
+    assert to_graph6(path_replacement(3, 3)) == "ShSkk?@?G?_D?T?A??G?@??C??g??g?AS"
+    assert to_graph6(cycle_replacement(4, 4)) == (
+        "WhNK?C@?G@_X?C??_?G?@??K?BG??_??C??@C??G??@_??X")
+    assert to_graph6(product_deleted(catalog_graph("k33"), catalog_graph("blob"), seed=7)) == (
+        "~?@AhCKHCDAK?_??@??_?G?@??C?CG?AG??S??P?@?G??????@???@????_???G?"
+        "??@???AC???AG????g???@C???G@?????????_?_????@????O@??????_?????G"
+        "?????`?????@C??????g?????AG?O???_C?????????_????G???????g??????@"
+        "???????@????????_??????CG???????P????????S???????AG????@?@?G????"
+        "????????C????@?????????G_????????_????????@?????????@?????????O_"
+        "????????AG?????????D?????????@C??_?????@?G")
+    star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert to_graph6(tree_gadget_graph(star)) == "Qw?W{o???@_FOK??????B??[_@_"

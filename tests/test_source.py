@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import convlab
@@ -16,3 +17,26 @@ def test_no_assert_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert SOURCES and not found, found
+
+
+def test_no_recursion_outside_search():
+    # recursion depth grows with the input and crashes on large graphs;
+    # only the branch and bound's `rec`, whose depth is the branching
+    # depth, may call itself
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == fn.name for call in ast.walk(fn)):
+                found.append(f"{path.name}:{fn.name}")
+    assert SOURCES and found == ["search.py:rec"], found
+
+
+def test_readme_tour_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
