@@ -35,7 +35,7 @@ from .structure import (
     is_r_degenerate,
     structure_report,
 )
-from .solver import SolveResult, ck_exact, ck_oracle, forest_number, independence_number
+from .solver import SolveResult, ck_exact, forest_number, independence_number
 from .bounds import equality_certificate, lower_bounds, upper_bounds_cubic
 from .constructions import Recipe, build_recipe, catalog, catalog_graph
 from .verify import run_suite, run_suites
@@ -51,7 +51,7 @@ __all__ = [
     "is_k_immune", "residual_core", "run_process",
     "CLASS1", "CLASS2", "chromatic_class", "girth", "is_maximal_r_degenerate",
     "is_r_degenerate", "structure_report",
-    "SolveResult", "ck_exact", "ck_oracle", "forest_number", "independence_number",
+    "SolveResult", "ck_exact", "forest_number", "independence_number",
     "equality_certificate", "lower_bounds", "upper_bounds_cubic",
     "Recipe", "build_recipe", "catalog", "catalog_graph",
     "run_suite", "run_suites",

@@ -13,15 +13,16 @@ from .graph import (
     Graph,
     bits,
     build_graph,
+    circulant_graph,
     complete_bipartite,
     complete_graph,
+    components,
     induced_subgraph,
     is_connected,
     path_graph,
     vset,
-    vset_members,
 )
-from .structure import is_cubic, regular_degree
+from .structure import bridges, is_cubic, regular_degree
 from .process import is_conversion_set
 
 
@@ -426,86 +427,23 @@ def tree_gadget_graph(tree):
     return g
 
 
-def _gadget_at(g, s):
-    """If s is the subdivision vertex of a pierced-K4 gadget, return its
-    five-vertex mask, else None."""
-    nbrs = list(g.neighbors(s))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            w, x = nbrs[i], nbrs[j]
-            if g.has_edge(w, x):
-                continue
-            common = g.adj[w] & g.adj[x] & ~(1 << s)
-            if common.bit_count() != 2:
-                continue
-            y, z = vset_members(common)
-            if not g.has_edge(y, z):
-                continue
-            group = vset([s, w, x, y, z])
-            # w, x, y, z must have all three edges inside the gadget
-            if all(g.adj[t] & ~group == 0 for t in (w, x, y, z)):
-                return group
-    return None
-
-
 def is_tree_gadget_graph(g):
-    """Structural recognizer for the family produced by tree_gadget_graph."""
-    if not is_cubic(g) or not is_connected(g):
+    """Recognizer for the family produced by tree_gadget_graph.
+
+    A connected cubic graph is a member iff every piece left after deleting
+    its bridges is a triangle (3 vertices, 3 edges) or a pierced K4 (5
+    vertices, 7 edges: the only graph with degrees 3, 3, 3, 3, 2).  A
+    bridgeless cubic graph is one piece of neither shape.  Cubicity then
+    makes the bridges a tree whose leaves are the pierced K4s and whose
+    other nodes are triangles of degree 3, and that bridge tree determines
+    the graph up to isomorphism.
+    """
+    if not (is_cubic(g) and is_connected(g)):
         return False
-    gadgets = set()
-    for s in range(g.n):
-        group = _gadget_at(g, s)
-        if group is not None:
-            gadgets.add(group)
-    covered = 0
-    for group in gadgets:
-        if covered & group:
-            return False
-        covered |= group
-    rest = g.full_mask & ~covered
-    # the remainder must split into triangles with one outside edge each
-    triangles = []
-    seen = 0
-    for v in bits(rest):
-        if seen >> v & 1:
-            continue
-        inside = g.adj[v] & rest
-        if inside.bit_count() != 2:
-            return False
-        a, b = vset_members(inside)
-        if not g.has_edge(a, b):
-            return False
-        tri = vset([v, a, b])
-        if (g.adj[a] & rest & ~tri) or (g.adj[b] & rest & ~tri):
-            return False
-        triangles.append(tri)
-        seen |= tri
-    if not gadgets:
-        return False
-    # contract pieces and check the quotient is a tree with gadget leaves
-    pieces = sorted(gadgets) + sorted(triangles)
-    owner = {}
-    for i, piece in enumerate(pieces):
-        for v in bits(piece):
-            owner[v] = i
-    quotient_edges = set()
-    cross = 0
-    for u, v in g.edges():
-        if owner[u] != owner[v]:
-            quotient_edges.add((min(owner[u], owner[v]), max(owner[u], owner[v])))
-            cross += 1
-    if cross != len(quotient_edges):
-        return False  # a double edge between pieces
-    q = build_graph(len(pieces), quotient_edges)
-    if not is_connected(q) or q.edge_count != q.n - 1:
-        return False
-    for i in range(len(gadgets)):
-        if q.degree(i) != 1:
-            return False
-    for i in range(len(gadgets), q.n):
-        if q.degree(i) != 3:
-            return False
-    return True
+    cut = set(bridges(g))
+    h = build_graph(g.n, [e for e in g.edges() if e not in cut])
+    return all((piece.bit_count(), sum(h.degree(v) for v in bits(piece)) // 2) in ((3, 3), (5, 7))
+               for piece in components(h))
 
 
 def small_regular(n, d):
@@ -516,11 +454,7 @@ def small_regular(n, d):
     offsets = list(range(1, d // 2 + 1))
     if d % 2:
         offsets.append(n // 2)
-    edges = []
-    for off in offsets:
-        for i in range(n):
-            edges.append((i, (i + off) % n))
-    g = build_graph(n, edges)
+    g = circulant_graph(n, offsets)
     if regular_degree(g) != d:
         raise RuntimeError(f"internal error: small_regular({n}, {d}) is not {d}-regular")
     return g
@@ -531,7 +465,10 @@ def small_regular(n, d):
 # ---------------------------------------------------------------------------
 
 
-def random_regular_graph(n, d, seed, max_tries=50000):
+RANDOM_REGULAR_TRIES = 50000
+
+
+def random_regular_graph(n, d, seed):
     """Simple d-regular graph on n vertices via the pairing model.
 
     Pairs the n*d half-edges one at a time, the last remaining one with a
@@ -543,7 +480,7 @@ def random_regular_graph(n, d, seed, max_tries=50000):
         raise ConstructionError(f"no {d}-regular graph on {n} vertices exists")
     rng = random.Random(seed)
     all_stubs = [v for v in range(n) for _ in range(d)]
-    for _ in range(max_tries):
+    for _ in range(RANDOM_REGULAR_TRIES):
         stubs = all_stubs.copy()
         edges = set()
         while stubs:
@@ -558,7 +495,7 @@ def random_regular_graph(n, d, seed, max_tries=50000):
             edges.add(e)
         else:
             return build_graph(n, sorted(edges))
-    raise ConstructionError(f"failed to sample a simple {d}-regular graph in {max_tries} tries")
+    raise ConstructionError(f"failed to sample a simple {d}-regular graph in {RANDOM_REGULAR_TRIES} tries")
 
 
 # ---------------------------------------------------------------------------

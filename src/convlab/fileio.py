@@ -28,20 +28,20 @@ def _graph6_decode_n(s):
     if not s:
         raise FormatError("empty graph6 string")
     if s[0] != "~":
-        return ord(s[0]) - 63, 1
-    if len(s) >= 2 and s[1] != "~":
-        if len(s) < 4:
-            raise FormatError("truncated graph6 order")
-        n = 0
-        for c in s[1:4]:
-            n = n << 6 | (ord(c) - 63)
-        return n, 4
-    if len(s) < 8:
+        start, width = 0, 1
+    elif len(s) >= 2 and s[1] != "~":
+        start, width = 1, 3
+    else:
+        start, width = 2, 6
+    digits = s[start : start + width]
+    if len(digits) < width:
         raise FormatError("truncated graph6 order")
     n = 0
-    for c in s[2:8]:
+    for c in digits:
+        if not 63 <= ord(c) <= 126:
+            raise FormatError(f"invalid graph6 order byte {c!r}")
         n = n << 6 | (ord(c) - 63)
-    return n, 8
+    return n, start + width
 
 
 def to_graph6(g: Graph) -> str:
@@ -97,20 +97,22 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_pair(line, what):
+    parts = line.split()
+    try:
+        if len(parts) == 2:
+            return int(parts[0]), int(parts[1])
+    except ValueError:
+        pass
+    raise FormatError(f"bad {what} {line!r}, expected two integers")
+
+
 def from_edge_list(text: str) -> Graph:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise FormatError("empty edge-list input")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise FormatError(f"bad header line {lines[0]!r}, expected 'n m'")
-    n, m = int(header[0]), int(header[1])
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+    n, m = _int_pair(lines[0], "header line")
+    edges = [_int_pair(ln, "edge line") for ln in lines[1:]]
     if len(edges) != m:
         raise FormatError(f"header claims {m} edges, found {len(edges)}")
     return build_graph(n, edges)

@@ -109,6 +109,8 @@ def verify_witness(g, k, result):
         return False
     if not is_conversion_set(g, result.witness, k):
         return False
+    if result.value == 0:
+        return True  # no set is smaller than the empty one
     if g.n > ORACLE_GUARD:
         raise OracleGuardExceeded(f"minimality check guard exceeded: n={g.n}")
     for combo in combinations(range(g.n), result.value - 1):

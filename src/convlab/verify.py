@@ -48,7 +48,7 @@ from .process import (
     is_conversion_set,
     run_process,
 )
-from .solver import ck_exact, ck_oracle, independence_number
+from .solver import ck_exact
 from .structure import (
     CLASS1,
     CLASS2,
@@ -101,7 +101,7 @@ def _check(out, description, expected, observed):
     out.append(Instance(description=description, expected=expected, observed=observed))
 
 
-def _cubic_corpus(max_n=30):
+def _cubic_corpus(max_n):
     """Named cubic graphs plus small constructed instances, deterministic."""
     items = [(name, g) for name, g in sorted(catalog().items())
              if regular_degree(g) == 3 and g.n <= max_n]
@@ -121,11 +121,15 @@ def _cubic_corpus(max_n=30):
 # ---------------------------------------------------------------------------
 
 
-def suite_join_regular(size_limit=6):
+# largest k of the seed-layer and join suites
+SEED_LAYER_MAX_K = 6
+
+
+def suite_join_regular():
     """k-regular graphs with a size-k conversion seed are exactly the joins
     of a t-regular order-k core with k - t isolated vertices."""
     out = []
-    for k in range(2, size_limit + 1):
+    for k in range(2, SEED_LAYER_MAX_K + 1):
         for t in range(k):
             if (k * t) % 2:
                 continue
@@ -142,11 +146,11 @@ def suite_join_regular(size_limit=6):
     return out
 
 
-def suite_extremal_order(size_limit=6):
+def suite_extremal_order():
     """The deficiency-driven construction yields a (k+1)-regular graph of
     the maximum order 2k+2 converted by k seeds."""
     out = []
-    for k in range(2, size_limit + 1):
+    for k in range(2, SEED_LAYER_MAX_K + 1):
         g, seed = extremal_regular(k)
         _check(out, f"extremal k={k}: order", 2 * k + 2, g.n)
         _check(out, f"extremal k={k}: regular degree", k + 1, regular_degree(g))
@@ -158,37 +162,35 @@ def suite_extremal_order(size_limit=6):
     return out
 
 
-def _seed_layer_instances(size_limit=6):
+def _seed_layer_instances():
     """(graph, k, seed) triples: (k+1)-regular with a converting seed of
     size k."""
     triples = []
-    for k in range(2, size_limit + 1):
+    for k in range(2, SEED_LAYER_MAX_K + 1):
         g, seed = extremal_regular(k)
         triples.append((f"extremal k={k}", g, k, seed))
-    res = ck_oracle(complete_graph(4), 2)
-    triples.append(("k4 k=2", complete_graph(4), 2, res.witness))
-    for name in ("k33", "prism"):
-        g = catalog_graph(name)
-        triples.append((f"{name} k=2", g, 2, ck_oracle(g, 2).witness))
+    for name, g in (("k4", complete_graph(4)), ("k33", catalog_graph("k33")),
+                    ("prism", catalog_graph("prism"))):
+        triples.append((f"{name} k=2", g, 2, ck_exact(g, 2).witness))
     return triples
 
 
-def suite_nonseed_bound(size_limit=6):
+def suite_nonseed_bound():
     """With a size-k seed in a (k+1)-regular graph, strictly fewer than
     (k(k+1)-1)/(k-1) vertices lie outside the seed."""
     out = []
-    for name, g, k, seed in _seed_layer_instances(size_limit):
+    for name, g, k, seed in _seed_layer_instances():
         nonseed = g.n - seed.bit_count()
         _check(out, f"{name}: non-seed count < (k(k+1)-1)/(k-1)", True,
                Fraction(nonseed) < Fraction(k * (k + 1) - 1, k - 1))
     return out
 
 
-def suite_late_layer_bound(size_limit=6):
+def suite_late_layer_bound():
     """With a size-k seed in a (k+1)-regular graph, at most k vertices
     convert at step two or later, and the first-layer refinement holds."""
     out = []
-    for name, g, k, seed in _seed_layer_instances(size_limit):
+    for name, g, k, seed in _seed_layer_instances():
         trace = run_process(g, seed, k)
         late = trace.layer_union(2).bit_count()
         s1 = trace.layers[1].bit_count() if len(trace.layers) > 1 else 0
@@ -198,11 +200,11 @@ def suite_late_layer_bound(size_limit=6):
     return out
 
 
-def suite_forest_complement_bound(max_n=20):
+def suite_forest_complement_bound():
     """Cubic graphs: c_2 >= ceil((n+2)/4); when the exact rational is
     attained the witness seed is independent with a tree complement."""
     out = []
-    for name, g in _cubic_corpus(max_n):
+    for name, g in _cubic_corpus(20):
         res = ck_exact(g, 2)
         lb = ceil((g.n + 2) / 4)
         _check(out, f"{name}: c_2 >= ceil((n+2)/4)", True, res.value >= lb)
@@ -238,16 +240,17 @@ def suite_degenerate_complement_bound():
     return out
 
 
-def suite_characterization(samples=120, seed=20260823):
+def suite_characterization():
     """Simulation agrees with the degenerate-complement rule on random
     regular graphs for every threshold that makes the rule apply."""
     import random as _random
 
+    seed = 20260823
     rng = _random.Random(seed)
     out = []
     mismatches = 0
     checked = 0
-    for i in range(samples):
+    for i in range(120):
         d = rng.choice([3, 4, 5])
         n = rng.choice([8, 10, 12, 14])
         g = random_regular_graph(n, d, seed=seed + i)
@@ -261,12 +264,13 @@ def suite_characterization(samples=120, seed=20260823):
     return out
 
 
-def suite_immune_duality(samples=150, seed=909):
+def suite_immune_duality():
     """S converts iff the complement's residual core is empty iff the
     complement holds no immune set."""
     import random as _random
 
-    rng = _random.Random(seed)
+    samples = 150
+    rng = _random.Random(909)
     out = []
     bad = 0
     for i in range(samples):
@@ -293,13 +297,7 @@ def suite_bridge_additivity():
         g = path_replacement(m, leaf)
         cut = bridges(g)
         _check(out, f"path-replacement({m},{leaf}): bridge count", m - 1, len(cut))
-        u, v = cut[0]
-        adj = list(g.adj)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        from .graph import Graph
-
-        h = Graph(n=g.n, adj=tuple(adj), edge_count=g.edge_count - 1)
+        h = build_graph(g.n, [e for e in g.edges() if e != cut[0]])
         sides = components(h)
         total = 0
         for side in sides[:2]:
@@ -490,7 +488,7 @@ def suite_doubled_block():
     return out
 
 
-def suite_cubic_upper_bounds(max_n=18):
+def suite_cubic_upper_bounds():
     """Tree-gadget graphs attain (3n+2)/8 exactly; all other cubic corpus
     graphs respect the 3n/8, n/3 and (n+2)/3 caps."""
     out = []
@@ -499,7 +497,7 @@ def suite_cubic_upper_bounds(max_n=18):
         exact = Fraction(3 * g.n + 2, 8)
         _check(out, f"tree-gadgets({label}): c_2 = (3n+2)/8", exact,
                Fraction(ck_exact(g, 2).value))
-    for name, g in _cubic_corpus(max_n):
+    for name, g in _cubic_corpus(18):
         if g.n <= 4:
             continue
         value = ck_exact(g, 2).value

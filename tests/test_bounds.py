@@ -14,7 +14,7 @@ from convlab.bounds import (
     upper_bounds_cubic,
 )
 from convlab.constructions import catalog, small_regular, tree_gadget_graph, triangle_replace
-from convlab.graph import complete_graph, path_graph, vset
+from convlab.graph import build_graph, complete_graph, path_graph, vset
 from convlab.solver import ck_exact, ck_oracle
 
 
@@ -99,6 +99,10 @@ def test_tree_gadget_exact_entry():
     g = tree_gadget_graph(path_graph(2))
     entry = _entry(upper_bounds_cubic(g), "tree-gadget-exact")
     assert entry.value == Fraction(3 * g.n + 2, 8) == 4
+    # two adjacent internal vertices: the tree shaped like the letter H
+    h = tree_gadget_graph(build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]))
+    entry = _entry(upper_bounds_cubic(h), "tree-gadget-exact")
+    assert h.n == 26 and entry.value == ck_exact(h, 2).value == 10
 
 
 def test_equality_certificate_petersen():

@@ -27,6 +27,17 @@ def test_solve_json_certified(capsys):
     assert len(payload["witness"]) == 3
 
 
+def test_solve_certify_empty_graph(capsys, monkeypatch):
+    import io
+
+    # value 0 is minimal without a sweep over sets of size -1
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n"))
+    code = main(["solve", "--graph", "-", "-k", "2", "--certify"])
+    out = capsys.readouterr().out
+    assert code == EXIT_PASS
+    assert "value: 0" in out and "certified minimum: yes" in out
+
+
 def test_bounds_table(capsys):
     code = main(["bounds", "--graph", "petersen", "-k", "2"])
     out = capsys.readouterr().out

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from convlab.constructions import (
@@ -28,6 +31,7 @@ from convlab.graph import (
     build_graph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     path_graph,
     vset,
 )
@@ -192,12 +196,82 @@ def test_tree_gadget_graphs():
     larger = tree_gadget_graph(star)
     assert larger.n == 18 and is_cubic(larger)
     assert is_tree_gadget_graph(larger)
+    assert not is_tree_gadget_graph(disjoint_union(small, larger))
+    # the star's bridge tree around a 5-cycle with a chord instead of a triangle
+    gadget = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 0), (4, 1)]  # port 4
+    centre = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]
+    edges = centre + [(a + off, b + off) for off in (5, 10, 15) for a, b in gadget]
+    fake = build_graph(20, edges + [(1, 9), (3, 14), (4, 19)])
+    assert is_cubic(fake) and len(bridges(fake)) == 3
+    assert not is_tree_gadget_graph(fake)
     assert not is_tree_gadget_graph(catalog()["petersen"])
     assert not is_tree_gadget_graph(triangle_replace(complete_graph(4)))
     with pytest.raises(ConstructionError, match="degree"):
         tree_gadget_graph(path_graph(3))  # internal vertex of degree 2
     with pytest.raises(ConstructionError, match="tree"):
         tree_gadget_graph(cycle_graph(4))
+
+
+def _gadget_trees(max_internal):
+    """Every tree whose internal vertices have degree 3, with up to
+    max_internal internal vertices (some shapes more than once)."""
+    trees = [path_graph(2)]
+    layer = [[]]  # edge lists of the trees on internal vertices 0..size-1
+    for size in range(1, max_internal + 1):
+        if size > 1:
+            layer = [edges + [(p, size - 1)] for edges in layer for p in range(size - 1)
+                     if sum(p in e for e in edges) < 3]
+        for edges in layer:
+            leaves = [v for v in range(size) for _ in range(3 - sum(v in e for e in edges))]
+            trees.append(build_graph(2 * size + 2,
+                                     edges + [(v, size + i) for i, v in enumerate(leaves)]))
+    return trees
+
+
+def _refinement_agrees(g, h):
+    """Colour refinement started from the triangles at each vertex; False
+    proves g and h non-isomorphic and spares are_isomorphic the search."""
+    graphs = (g, h)
+    colours = [[sum(x.has_edge(a, b) for a, b in combinations(x.neighbors(v), 2))
+                for v in range(x.n)] for x in graphs]
+    for _ in range(g.n):
+        if sorted(colours[0]) != sorted(colours[1]):
+            return False
+        palette = {}
+        colours = [[palette.setdefault((c[v], tuple(sorted(c[w] for w in x.neighbors(v)))),
+                                       len(palette)) for v in range(x.n)]
+                   for x, c in zip(graphs, colours)]
+    return True
+
+
+def test_tree_gadget_recognized_for_every_tree_shape():
+    trees = _gadget_trees(5)
+    assert {t.n for t in trees} == {2, 4, 6, 8, 10, 12}
+    for tree in trees:
+        assert is_tree_gadget_graph(tree_gadget_graph(tree)), tree.edges()
+
+
+def test_tree_gadget_recognizer_matches_isomorphism_reference():
+    family = {}
+    for tree in _gadget_trees(3):
+        g = tree_gadget_graph(tree)
+        family.setdefault(g.n, []).append(g)
+    assert sorted(family) == [10, 18, 26, 34]
+    rng = random.Random(6)
+    members = {n: 0 for n in family}
+    for n, graphs in sorted(family.items()):
+        for _ in range(60):
+            edges = set(rng.choice(graphs).edges())
+            for _ in range(rng.randrange(1, 4)):  # double-edge swaps keep it cubic
+                (a, b), (c, d) = rng.sample(sorted(edges), 2)
+                ac, bd = (min(a, c), max(a, c)), (min(b, d), max(b, d))
+                if len({a, b, c, d}) == 4 and not {ac, bd} & edges:
+                    edges = edges - {(a, b), (c, d)} | {ac, bd}
+            g = build_graph(n, edges)
+            reference = any(_refinement_agrees(g, h) and are_isomorphic(g, h) for h in graphs)
+            assert is_tree_gadget_graph(g) == reference, sorted(edges)
+            members[n] += reference
+    assert all(0 < count < 60 for count in members.values()), members
 
 
 def test_small_regular():

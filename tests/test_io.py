@@ -2,6 +2,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convlab.constructions import catalog
 from convlab.fileio import (
@@ -12,7 +14,7 @@ from convlab.fileio import (
     to_edge_list,
     to_graph6,
 )
-from convlab.graph import are_isomorphic, build_graph, complete_graph
+from convlab.graph import Graph, GraphError, are_isomorphic, build_graph, complete_graph
 
 
 def _random_graph(rng, n, p):
@@ -94,3 +96,50 @@ def test_graph6_nonzero_padding_rejected():
     assert (ord(text[-1]) - 63) & 0b11 == 0
     with pytest.raises(FormatError, match="padding"):
         from_graph6(text[:-1] + chr(ord(text[-1]) + 1))
+
+
+def test_malformed_numbers_raise_format_error():
+    for text in ("3 x", "2 1\n0 a", "2 1\n0 1.5"):
+        with pytest.raises(FormatError, match=repr(text.splitlines()[-1])):
+            load_graph(text)
+
+
+def test_graph6_order_bytes_validated():
+    # 0x7f once read as order 64, and "~!!!" as order -30
+    with pytest.raises(FormatError, match=r"order byte '\\x7f'"):
+        load_graph("\x7f" + "?" * 336)
+    with pytest.raises(FormatError, match="order byte '!'"):
+        load_graph("~!!!")
+
+
+# Edge-list headers stay at order <= 64: build_graph allocates one row per
+# vertex, so an arbitrary header would ask for arbitrary memory.
+_TOKENS = st.one_of(st.integers(-3, 64).map(str),
+                    st.sampled_from(["x", "1.5", "-", "0x1", "1e3", "\u00b2", "#"]))
+_LINES = st.lists(_TOKENS, max_size=3).map(" ".join)
+
+
+@st.composite
+def _edge_list_texts(draw):
+    header = draw(st.one_of(_LINES, st.builds("{} {}".format, st.integers(-2, 64),
+                                              st.integers(-1, 6))))
+    return "\n".join([header] + draw(st.lists(_LINES, max_size=6)))
+
+
+_GRAPH6_TEXTS = st.builds(
+    "{}{}".format, st.sampled_from(["", ">>graph6<<"]),
+    st.text(st.characters(min_codepoint=0, max_codepoint=255), max_size=24),
+).filter(lambda text: not text.strip()[:1].isdigit())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_edge_list_texts(), _GRAPH6_TEXTS))
+@example("3 x")
+@example("~!!!")
+def test_load_graph_fuzz(text):
+    # a graph or a clean error; never a bare ValueError or another crash
+    try:
+        g = load_graph(text)
+    except (FormatError, GraphError):
+        return
+    assert isinstance(g, Graph)

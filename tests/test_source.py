@@ -40,3 +40,17 @@ def test_readme_tour_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_oracle_named_only_in_solver():
+    # the brute-force oracle is a test oracle: no other package module may
+    # call, import or re-export it
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "name", None) or getattr(node, "value", None))
+            if name == "ck_oracle":
+                found.append(f"{path.name}:{node.lineno}")
+    assert SOURCES and all(f.startswith("solver.py:") for f in found) and found, found
