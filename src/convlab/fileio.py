@@ -1,11 +1,18 @@
 """Graph serialization: graph6 strings and a plain edge-list text format.
 
 The edge-list format is an "n m" header line followed by one "u v" pair per
-line.  graph6 follows the published byte format: N(n) followed by the upper
-triangle of the adjacency matrix, six bits per printable character (offset 63).
+line; the order n may be at most ``MAX_EDGE_LIST_ORDER``.  graph6 follows the
+published byte format: N(n) followed by the upper triangle of the adjacency
+matrix, six bits per printable character (offset 63).
 """
 
 from .graph import Graph, build_graph
+
+# Largest order an edge-list header may declare.  The graph keeps one
+# adjacency row per vertex, allocated before any edge is read (about 16 MB
+# at this order), so a short header must not ask for unbounded memory.
+# graph6 needs no cap: its body length grows with the square of the order.
+MAX_EDGE_LIST_ORDER = 1_000_000
 
 
 class FormatError(ValueError):
@@ -112,6 +119,8 @@ def from_edge_list(text: str) -> Graph:
     if not lines:
         raise FormatError("empty edge-list input")
     n, m = _int_pair(lines[0], "header line")
+    if n > MAX_EDGE_LIST_ORDER:
+        raise FormatError(f"order {n} exceeds the edge-list limit of {MAX_EDGE_LIST_ORDER}")
     edges = [_int_pair(ln, "edge line") for ln in lines[1:]]
     if len(edges) != m:
         raise FormatError(f"header claims {m} edges, found {len(edges)}")

@@ -12,10 +12,27 @@ threshold exceeds 1, and a ceiling on each component: the first vertex of
 X peeled keeps at least deg(v) - r(v) neighbours out of X.  Feasibility of
 the incumbent and of the keep branch is decided by the package's one peel,
 ``structure.degeneracy_peel``, with the same per-vertex thresholds.
+
+The incumbent of each component is a greedy peelable set, improved at the
+root by a seeded local search with a fixed move budget that stops once it
+meets the root upper bound.  On random cubic graphs at k = 2 that bound,
+(n+2)/4 seeds, is almost always the optimum, so the search then ends at its
+root node.
 """
+
+import random
+from heapq import heapify, heappop, heappush
+from math import exp
 
 from .graph import bits, components
 from .structure import _shortest_cycle_root, degeneracy_peel
+
+# The local search's move budget per vertex of a component, its acceptance
+# temperature and its seed: fixed, so node counts and witnesses do not
+# depend on the machine or the run.
+MOVES_PER_VERTEX = 10
+LOSS_TEMPERATURE = 0.6
+LOCAL_SEARCH_SEED = 1
 
 
 def shortest_cycle(g, mask):
@@ -65,16 +82,78 @@ def greedy_cycle_packing(g, mask=None):
         cur &= ~cyc
 
 
+def _shrink_core(adj, r, core, v):
+    """Stuck core left after dropping v from the stuck core ``core``: only
+    a neighbour of a dropped or freed vertex can newly peel."""
+    core &= ~(1 << v)
+    check = adj[v] & core
+    while check:
+        w = check.bit_length() - 1
+        check ^= 1 << w
+        if (adj[w] & core).bit_count() <= r[w]:
+            core ^= 1 << w
+            check |= adj[w] & core
+    return core
+
+
 def _greedy_feasible(g, r, within):
     """Feasible incumbent: drop the core vertex with the largest degree
     excess deg(v) - r[v] (ties: lowest id) until the peeling succeeds."""
+    adj = g.adj
     cur = within
-    while True:
-        core = degeneracy_peel(g, cur, r)
-        if not core:
-            return cur
-        v = max(bits(core), key=lambda x: ((g.adj[x] & cur).bit_count() - r[x], -x))
+    core = degeneracy_peel(g, cur, r)
+    # excesses only fall as vertices are dropped, so a popped key is an
+    # upper bound: pushed back when stale, the top is exact
+    heap = [(r[x] - (adj[x] & cur).bit_count(), x) for x in bits(core)]
+    heapify(heap)
+    while core:
+        key, v = heappop(heap)
+        if not core >> v & 1:
+            continue
+        now = r[v] - (adj[v] & cur).bit_count()
+        if now != key:
+            heappush(heap, (now, v))
+            continue
         cur &= ~(1 << v)
+        core = _shrink_core(adj, r, core, v)
+    return cur
+
+
+def _local_search(g, r, within, x, target):
+    """Largest peelable set seen by a seeded random walk from the peelable
+    set x; stops once it holds ``target`` vertices or after
+    ``MOVES_PER_VERTEX`` moves per vertex of ``within``.
+
+    A move adds a random vertex u of ``within`` outside X, then drops random
+    stuck-core vertices other than u until X peels (each core vertex keeps
+    a neighbour in the core, so a nonempty core has a vertex other than u).
+    A move that loses d vertices is taken with probability
+    exp(-d / LOSS_TEMPERATURE).  The walk depends only on its arguments.
+    """
+    adj = g.adj
+    rng = random.Random(LOCAL_SEARCH_SEED)
+    verts = list(bits(within))
+    size = x.bit_count()
+    best, best_size = x, size
+    for _ in range(MOVES_PER_VERTEX * len(verts)):
+        u = rng.choice(verts)
+        while x >> u & 1:
+            u = rng.choice(verts)
+        y = x | 1 << u
+        core = degeneracy_peel(g, y, r)
+        while core:
+            w = rng.choice([w for w in bits(core) if w != u])
+            y &= ~(1 << w)
+            core = _shrink_core(adj, r, core, w)
+        loss = size - y.bit_count()
+        if loss > 0 and rng.random() >= exp(-loss / LOSS_TEMPERATURE):
+            continue
+        x, size = y, size - loss
+        if size > best_size:
+            best, best_size = x, size
+            if size >= target:
+                break
+    return best
 
 
 def _edge_caps(thresholds):
@@ -106,7 +185,11 @@ def max_r_degenerate_set(g, r, within=None):
     >= 0.  Returns (size, mask, nodes_explored).  Deterministic: branches
     on the undecided vertex with the largest deg_sub(v) - r[v] (ties by
     lowest id), removal first.  The components of G[within] are solved one
-    by one and their results added up.
+    by one and their results added up.  Each starts from the greedy
+    incumbent plus a seeded local search of at most MOVES_PER_VERTEX moves
+    per vertex, run at the root only when the greedy set falls short of
+    the root bound and stopped as soon as it meets that bound; node counts
+    and masks do not depend on the machine.
     """
     within = g.full_mask if within is None else within
     if isinstance(r, int):
@@ -202,15 +285,25 @@ def _max_connected(g, r, within):
             if d - r[u] > v_excess and undecided >> u & 1:
                 v, v_excess = u, d - r[u]
         # each removed vertex lowers the excess by at most max_deg - r_min
+        upper = n_sub
         excess = deg_sum // 2 - caps[n_sub]
         if excess > 0:
-            d_min = -(-excess // (max_deg - r_min))
-            if n_sub - d_min <= best:
+            upper -= -(-excess // (max_deg - r_min))
+            if upper <= best:
                 return
         if packing_bound:
             if packing is None:
                 packing = len(greedy_cycle_packing(g, sub))
-            if n_sub - packing <= best:
+            upper = min(upper, n_sub - packing)
+            if upper <= best:
+                return
+        if nodes == 1:
+            # the root, with its bounds computed once: a local search that
+            # meets them ends the search here
+            upper = min(upper, ceiling)
+            best_mask = _local_search(g, r, within, best_mask, upper)
+            best = best_mask.bit_count()
+            if best >= upper:
                 return
         bit = 1 << v
         rest = undecided & ~bit

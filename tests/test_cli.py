@@ -103,6 +103,14 @@ def test_stdin_pipe(capsys, monkeypatch):
     assert code == EXIT_PASS and "regular_degree: 3" in out
 
 
+def test_oversized_edge_list_header_exits_2(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("99999999999 0\n"))
+    assert main(["classify", "--graph", "-"]) == EXIT_ERROR
+    assert "exceeds the edge-list limit" in capsys.readouterr().err
+
+
 def test_internal_error_exits_2_with_one_line(capsys, monkeypatch):
     def broken(g):
         raise RuntimeError("internal error: simulated failure")

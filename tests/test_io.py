@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from convlab.constructions import catalog
 from convlab.fileio import (
+    MAX_EDGE_LIST_ORDER,
     FormatError,
     from_edge_list,
     from_graph6,
@@ -112,8 +113,15 @@ def test_graph6_order_bytes_validated():
         load_graph("~!!!")
 
 
-# Edge-list headers stay at order <= 64: build_graph allocates one row per
-# vertex, so an arbitrary header would ask for arbitrary memory.
+def test_edge_list_order_capped():
+    assert load_graph(f"{MAX_EDGE_LIST_ORDER} 0").n == MAX_EDGE_LIST_ORDER
+    for text in (f"{MAX_EDGE_LIST_ORDER + 1} 0", "99999999999 0"):
+        with pytest.raises(FormatError, match="exceeds the edge-list limit"):
+            load_graph(text)
+
+
+# Header orders run past the cap, where load_graph must refuse before it
+# allocates; edge lines stay at small ids.
 _TOKENS = st.one_of(st.integers(-3, 64).map(str),
                     st.sampled_from(["x", "1.5", "-", "0x1", "1e3", "\u00b2", "#"]))
 _LINES = st.lists(_TOKENS, max_size=3).map(" ".join)
@@ -121,8 +129,8 @@ _LINES = st.lists(_TOKENS, max_size=3).map(" ".join)
 
 @st.composite
 def _edge_list_texts(draw):
-    header = draw(st.one_of(_LINES, st.builds("{} {}".format, st.integers(-2, 64),
-                                              st.integers(-1, 6))))
+    order = st.one_of(st.integers(-2, 64), st.integers(MAX_EDGE_LIST_ORDER - 1, 10**15))
+    header = draw(st.one_of(_LINES, st.builds("{} {}".format, order, st.integers(-1, 6))))
     return "\n".join([header] + draw(st.lists(_LINES, max_size=6)))
 
 

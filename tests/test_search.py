@@ -1,18 +1,20 @@
-"""The branch-and-bound search: shortest cycles, node-count pins and
-component additivity."""
+"""The branch-and-bound search: shortest cycles, node-count pins, the
+incumbent and component additivity."""
 
 import random
+import time
 
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convlab.constructions import catalog, product_deleted, random_regular_graph
-from convlab.graph import bits, build_graph, circulant_graph, disjoint_union
-from convlab.search import max_r_degenerate_set, shortest_cycle
+from convlab.constructions import (catalog, cycle_replacement, path_replacement, product_deleted,
+                                   random_regular_graph, tree_gadget_graph)
+from convlab.graph import bits, build_graph, circulant_graph, disjoint_union, path_graph
+from convlab.search import _greedy_feasible, max_r_degenerate_set, shortest_cycle
 from convlab.solver import ck_exact
-from convlab.structure import girth, is_r_degenerate
+from convlab.structure import degeneracy_peel, girth, is_r_degenerate
 
 
 def reference_shortest_cycle(g, mask):
@@ -116,13 +118,85 @@ def test_shortest_cycle_is_a_cycle():
     assert shortest_cycle(g, 0) == 0 and girth(g, 0) is None
 
 
+def _grid(a, b):
+    return build_graph(a * b, [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)]
+                       + [(i * b + j, (i + 1) * b + j) for i in range(a - 1) for j in range(b)])
+
+
 def test_node_count_pins():
+    # the local search meets the root bound: the search ends at its root
     cat = catalog()
     k4_g1 = product_deleted(cat["k4"], cat["g1"])
     res = ck_exact(k4_g1, 2)
-    assert (res.value, res.nodes_explored) == (8, 8582)
+    assert (res.value, res.nodes_explored) == (8, 1)
+    res = ck_exact(circulant_graph(30, (1, 3, 5)), 4)
+    assert (res.value, res.nodes_explored) == (9, 1)
+    # proof-bound: greedy already finds the optimum, the search proves it
     c24 = circulant_graph(24, (1, 2, 12))
     assert max_r_degenerate_set(c24, 2)[2] == 38130
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_random_cubic_60_node_count_pins(seed):
+    # c_2 meets the lower bound (n+2)/4, which the root edge bound proves
+    g = random_regular_graph(60, 3, seed=seed)
+    res = ck_exact(g, 2)
+    assert (res.value, res.nodes_explored) == (-(-(g.n + 2) // 4), 1)
+
+
+def test_no_instance_gains_nodes_pins():
+    # a larger incumbent only prunes more: none of these may grow past the
+    # count the search had with the greedy incumbent alone
+    star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    cases = [
+        (tree_gadget_graph(star), 2, 897),
+        (circulant_graph(20, (1, 2, 10)), 4, 1198),
+        (_grid(4, 5), 2, 10232),
+        (cycle_replacement(4, 2), 2, 10579),
+        (path_replacement(4, 1), 2, 5745),
+    ]
+    for g, k, before in cases:
+        assert ck_exact(g, k).nodes_explored <= before
+
+
+def test_local_search_is_deterministic():
+    # C30(1,3,5) at k = 4 reaches its optimum only by the local search
+    g = circulant_graph(30, (1, 3, 5))
+    r = [g.degree(v) - 4 for v in range(g.n)]
+    assert _greedy_feasible(g, r, g.full_mask).bit_count() < max_r_degenerate_set(g, r)[0]
+    first, second = ck_exact(g, 4), ck_exact(g, 4)
+    assert (first.value, first.witness) == (second.value, second.witness)
+
+
+def reference_greedy_feasible(g, r, within):
+    """The greedy incumbent by re-peeling the whole set after every drop."""
+    cur = within
+    while True:
+        core = degeneracy_peel(g, cur, r)
+        if not core:
+            return cur
+        v = max(bits(core), key=lambda x: ((g.adj[x] & cur).bit_count() - r[x], -x))
+        cur &= ~(1 << v)
+
+
+def test_greedy_feasible_matches_full_repeel():
+    rng = random.Random(7)
+    graphs = [_grid(4, 5), path_graph(40), circulant_graph(24, (1, 2, 12)),
+              circulant_graph(30, (1, 3, 5))]
+    graphs += [random_regular_graph(2 * rng.randrange(5, 30), d, seed=rng.randrange(10**6))
+               for d in (3, 4) for _ in range(12)]
+    for g in graphs:
+        for k in (1, 2, 3):
+            r = [g.degree(v) - k for v in range(g.n)]
+            within = sum(1 << v for v in range(g.n) if r[v] >= 0 and rng.random() < 0.9)
+            assert _greedy_feasible(g, r, within) == reference_greedy_feasible(g, r, within)
+
+
+def test_greedy_on_long_path_is_fast():
+    start = time.perf_counter()
+    res = ck_exact(path_graph(1000), 2)
+    assert res.value == 501 and res.nodes_explored == 1
+    assert time.perf_counter() - start < 0.05
 
 
 def _triangles(t):
