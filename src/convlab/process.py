@@ -48,23 +48,29 @@ class ConversionTrace:
 def run_process(g, seed_mask, k):
     """Run the synchronous conversion process to its fixed point.
 
-    Layer t is computed from the union of layers 0..t-1.  An empty seed is
-    allowed and simply stays put.
+    Layer t is computed from the union of layers 0..t-1.  After the first
+    layer only a neighbour of the last layer can convert, so each layer
+    checks only those.  An empty seed is allowed and simply stays put.
     """
     if k < 1:
         raise ValueError("threshold k must be >= 1")
     layers = [seed_mask]
     converted = seed_mask
     full = g.full_mask
-    while converted != full:
+    check = full & ~converted
+    while check:
         new = 0
-        for v in bits(full & ~converted):
+        for v in bits(check):
             if (g.adj[v] & converted).bit_count() >= k:
                 new |= 1 << v
         if not new:
             break
         layers.append(new)
         converted |= new
+        check = 0
+        for v in bits(new):
+            check |= g.adj[v]
+        check &= ~converted
     return ConversionTrace(
         threshold=k,
         layers=tuple(layers),

@@ -9,9 +9,10 @@ bound (a peelable set of q vertices spans at most sum over i <= q of
 min(r_(i), q - i) edges, r_(i) the i-th largest threshold; for a uniform r
 that is rq - r(r+1)/2), a greedy vertex-disjoint cycle packing when no
 threshold exceeds 1, and a ceiling on each component: the first vertex of
-X peeled keeps at least deg(v) - r(v) neighbours out of X.  Feasibility of
-the incumbent and of the keep branch is decided by the package's one peel,
-``structure.degeneracy_peel``, with the same per-vertex thresholds.
+X peeled keeps at least deg(v) - r(v) neighbours out of X.  The keep
+branch and the incumbents peel with the package's one peel,
+``structure.degeneracy_peel``, and the same per-vertex thresholds; an
+incumbent dropping v from a stuck core re-checks only v's neighbours.
 
 The incumbent of each component is a greedy peelable set, improved at the
 root by a seeded local search with a fixed move budget that stops once it
@@ -82,20 +83,6 @@ def greedy_cycle_packing(g, mask=None):
         cur &= ~cyc
 
 
-def _shrink_core(adj, r, core, v):
-    """Stuck core left after dropping v from the stuck core ``core``: only
-    a neighbour of a dropped or freed vertex can newly peel."""
-    core &= ~(1 << v)
-    check = adj[v] & core
-    while check:
-        w = check.bit_length() - 1
-        check ^= 1 << w
-        if (adj[w] & core).bit_count() <= r[w]:
-            core ^= 1 << w
-            check |= adj[w] & core
-    return core
-
-
 def _greedy_feasible(g, r, within):
     """Feasible incumbent: drop the core vertex with the largest degree
     excess deg(v) - r[v] (ties: lowest id) until the peeling succeeds."""
@@ -115,7 +102,7 @@ def _greedy_feasible(g, r, within):
             heappush(heap, (now, v))
             continue
         cur &= ~(1 << v)
-        core = _shrink_core(adj, r, core, v)
+        core = degeneracy_peel(g, core & ~(1 << v), r, adj[v] & core)
     return cur
 
 
@@ -144,7 +131,7 @@ def _local_search(g, r, within, x, target):
         while core:
             w = rng.choice([w for w in bits(core) if w != u])
             y &= ~(1 << w)
-            core = _shrink_core(adj, r, core, w)
+            core = degeneracy_peel(g, core & ~(1 << w), r, adj[w] & core)
         loss = size - y.bit_count()
         if loss > 0 and rng.random() >= exp(-loss / LOSS_TEMPERATURE):
             continue
@@ -192,6 +179,8 @@ def max_r_degenerate_set(g, r, within=None):
     and masks do not depend on the machine.
     """
     within = g.full_mask if within is None else within
+    if within & ~g.full_mask:
+        raise ValueError(f"within names vertices outside 0..{g.n - 1}")
     if isinstance(r, int):
         if r < 0:
             raise ValueError("r must be >= 0")
@@ -262,10 +251,11 @@ def _max_connected(g, r, within):
             for v in bits(undecided):
                 if (adj[v] & sub).bit_count() <= r[v]:
                     moved |= 1 << v
-            if not moved:
-                break
             kept |= moved
             undecided &= ~moved
+            # sub is unchanged: only a newly kept threshold-0 vertex can block
+            if not moved & zero:
+                break
         if not undecided:
             size = kept.bit_count()
             if size > best:

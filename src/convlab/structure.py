@@ -1,12 +1,12 @@
 """Structural predicates: regularity, girth, bridges, connectivity,
 degeneracy and chromatic class (cubic graphs).
 
-``degeneracy_peel`` is the package's one peel: it drops every vertex v with
-at most r[v] neighbours left in the set until none can go, and returns the
-stuck core.  With per-vertex thresholds r(v) = deg(v) - k it decides
-k-conversion (``process.residual_core``) and the solver's feasibility
-checks; with a uniform r = 1 it finds the 2-core, which is empty iff the
-set induces a forest.
+``degeneracy_peel`` is the package's one peel: a worklist drops every
+vertex v with at most r[v] neighbours left in the set until none can go,
+and returns the stuck core.  With per-vertex thresholds r(v) = deg(v) - k
+it decides k-conversion (``process.residual_core``) and the solver's
+feasibility checks; with a uniform r = 1 it finds the 2-core, which is
+empty iff the set induces a forest.
 """
 
 from dataclasses import dataclass
@@ -316,24 +316,27 @@ def chromatic_class(g):
     return CLASS1 if edge_coloring(g, 3) is not None else CLASS2
 
 
-def degeneracy_peel(g, mask, r):
-    """Stuck core left after peeling from G[mask], in ascending id sweeps,
-    every vertex v with at most r[v] neighbours left; 0 iff the set peels
-    to empty.
+def degeneracy_peel(g, mask, r, check=None):
+    """Stuck core left after peeling from G[mask] every vertex v with at
+    most r[v] neighbours left; 0 iff the set peels to empty.
 
     ``r`` is indexed by vertex; a vertex with a negative threshold never
-    goes.  The core does not depend on the peeling order.
+    goes.  ``check`` names the vertices that may peel now (default: all of
+    ``mask``); every other vertex of ``mask`` must have more than r[v]
+    neighbours in ``mask``.  Only neighbours of a peeled vertex are
+    re-checked, an O(n + m) worklist; the core does not depend on the
+    order, so it is the same for every valid ``check``.
     """
     adj = g.adj
-    cur = mask
-    changed = True
-    while changed and cur:
-        changed = False
-        for v in bits(cur):
-            if (adj[v] & cur).bit_count() <= r[v]:
-                cur &= ~(1 << v)
-                changed = True
-    return cur
+    core = mask
+    check = mask if check is None else check
+    while check:
+        v = check.bit_length() - 1
+        check ^= 1 << v
+        if (adj[v] & core).bit_count() <= r[v]:
+            core &= ~(1 << v)
+            check |= adj[v] & core
+    return core
 
 
 def is_r_degenerate(g, x_mask, r):

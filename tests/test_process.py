@@ -12,6 +12,7 @@ from convlab.graph import (
     vset,
 )
 from convlab.process import (
+    ConversionTrace,
     characterization_check,
     contains_k_immune_set,
     is_conversion_set,
@@ -135,6 +136,38 @@ def test_residual_core_is_unconverted_set(data):
     g, small, _, k = data
     rest = g.full_mask & ~small
     assert residual_core(g, rest, k) == g.full_mask & ~run_process(g, small, k).converted
+
+
+def reference_run_process(g, seed_mask, k):
+    """The process scanning every unconverted vertex in every layer."""
+    layers = [seed_mask]
+    converted = seed_mask
+    full = g.full_mask
+    while converted != full:
+        new = 0
+        for v in bits(full & ~converted):
+            if (g.adj[v] & converted).bit_count() >= k:
+                new |= 1 << v
+        if not new:
+            break
+        layers.append(new)
+        converted |= new
+    return ConversionTrace(
+        threshold=k,
+        layers=tuple(layers),
+        converted=converted,
+        complete=converted == full,
+        time=len(layers) - 1,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_sets())
+def test_run_process_matches_full_scan(data):
+    g, small, big, _ = data
+    for k in range(1, 5):
+        for seed in (small, big):
+            assert run_process(g, seed, k) == reference_run_process(g, seed, k)
 
 
 def _is_k_immune_one_pass(g, u_mask, k):

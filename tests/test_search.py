@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from convlab.constructions import (catalog, cycle_replacement, path_replacement, product_deleted,
                                    random_regular_graph, tree_gadget_graph)
-from convlab.graph import bits, build_graph, circulant_graph, disjoint_union, path_graph
+from convlab.graph import bits, build_graph, circulant_graph, cycle_graph, disjoint_union, path_graph
+from convlab.process import run_process
 from convlab.search import _greedy_feasible, max_r_degenerate_set, shortest_cycle
 from convlab.solver import ck_exact
 from convlab.structure import degeneracy_peel, girth, is_r_degenerate
@@ -199,6 +200,15 @@ def test_greedy_on_long_path_is_fast():
     assert time.perf_counter() - start < 0.05
 
 
+def test_process_on_long_cycle_is_fast():
+    # 500 layers of two vertices each: each layer checks only the last
+    # layer's neighbours
+    start = time.perf_counter()
+    trace = run_process(cycle_graph(1000), 1, 1)
+    assert trace.complete and trace.time == 500
+    assert time.perf_counter() - start < 0.05
+
+
 def _triangles(t):
     return build_graph(3 * t, [(3 * i + a, 3 * i + b) for i in range(t)
                                for a, b in ((0, 1), (1, 2), (0, 2))])
@@ -241,3 +251,5 @@ def test_thresholds_rejected():
     with pytest.raises(ValueError):
         max_r_degenerate_set(g, r)
     assert max_r_degenerate_set(g, r, g.full_mask & ~(1 << 3))[0] == 7  # some optimum avoids 3
+    with pytest.raises(ValueError):
+        max_r_degenerate_set(path_graph(3), 1, within=0b1000)

@@ -2,9 +2,12 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convlab.constructions import catalog, path_replacement, triangle_replace
 from convlab.graph import (
+    bits,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -156,6 +159,42 @@ def test_degeneracy_peel():
     assert degeneracy_peel(cycle_graph(5), vset(range(5)), [2, 2, -1, 2, 2]) == vset([2])
     assert is_r_degenerate(complete_graph(4), vset(range(4)), 3)
     assert not is_r_degenerate(complete_graph(4), vset(range(4)), 2)
+
+
+def reference_degeneracy_peel(g, mask, r):
+    """The peel by repeated ascending-id sweeps over the whole set."""
+    adj = g.adj
+    cur = mask
+    changed = True
+    while changed and cur:
+        changed = False
+        for v in bits(cur):
+            if (adj[v] & cur).bit_count() <= r[v]:
+                cur &= ~(1 << v)
+                changed = True
+    return cur
+
+
+@st.composite
+def graph_mask_thresholds(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(possible), max_size=len(possible))) if possible else []
+    mask = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    r = draw(st.lists(st.integers(min_value=-1, max_value=3), min_size=n, max_size=n))
+    return build_graph(n, edges), mask, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_mask_thresholds())
+def test_degeneracy_peel_matches_sweeps(data):
+    g, mask, r = data
+    core = degeneracy_peel(g, mask, r)
+    assert core == reference_degeneracy_peel(g, mask, r)
+    # dropping v from a stuck core: only v's neighbours in it may peel now
+    for v in bits(core):
+        rest = core & ~(1 << v)
+        assert degeneracy_peel(g, rest, r, g.adj[v] & core) == reference_degeneracy_peel(g, rest, r)
 
 
 def test_maximal_r_degenerate():
