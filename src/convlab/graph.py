@@ -48,6 +48,11 @@ class Graph:
     def full_mask(self):
         return (1 << self.n) - 1
 
+    def check_mask(self, mask, name):
+        """Raise ValueError if the vertex-set bitmask has a bit outside 0..n-1."""
+        if mask & ~self.full_mask:
+            raise ValueError(f"{name} names vertices outside 0..{self.n - 1}")
+
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"
 

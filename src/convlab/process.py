@@ -54,6 +54,7 @@ def run_process(g, seed_mask, k):
     """
     if k < 1:
         raise ValueError("threshold k must be >= 1")
+    g.check_mask(seed_mask, "seed")
     layers = [seed_mask]
     converted = seed_mask
     full = g.full_mask
@@ -99,6 +100,7 @@ def residual_core(g, x_mask, k):
     """
     if k < 1:
         raise ValueError("threshold k must be >= 1")
+    g.check_mask(x_mask, "x_mask")
     return degeneracy_peel(g, x_mask, [d - k for d in g.degrees()])
 
 

@@ -5,11 +5,27 @@ This is the solver core.  A seed set S converts under threshold k iff its
 complement peels with r(v) = deg(v) - k, so c_k(G) is n minus the largest
 such X; on a (k+r)-regular graph X is a maximum induced r-degenerate set
 (r = 0: independent set, r = 1: forest).  Pruning combines an edge-count
-bound (a peelable set of q vertices spans at most sum over i <= q of
-min(r_(i), q - i) edges, r_(i) the i-th largest threshold; for a uniform r
-that is rq - r(r+1)/2), a greedy vertex-disjoint cycle packing when no
-threshold exceeds 1, and a ceiling on each component: the first vertex of
-X peeled keeps at least deg(v) - r(v) neighbours out of X.  The keep
+bound, a greedy vertex-disjoint cycle packing when no threshold exceeds 1,
+and a ceiling on each component: the first vertex of X peeled keeps at
+least deg(v) - r(v) neighbours out of X.
+
+The edge-count bound: a peelable set of q vertices spans at most cap(q) =
+sum over i <= q of min(r_(i), q - i) edges, r_(i) the i-th largest
+threshold (for a uniform r, rq - r(r+1)/2).  At a node with vertex set sub
+(kept and undecided), surplus = E(sub) - cap(|sub|).  An improving X, one
+larger than the incumbent's `best`, leaves out a set R of at most b = |sub|
+- best - 1 undecided vertices.  Each u in R takes at most deg_sub(u) edges
+with it, and each removal lowers the cap by at least r_min, the least
+threshold: cap(q) - cap(q - 1) >= min(q - 1, r_min), and q > |X| > best >
+r_min because the greedy incumbent holds r_min + 1 vertices or the whole
+component.  So the decrements e(u) = deg_sub(u) - r_min over R sum to at
+least the surplus.  The node is pruned when the b largest decrements of
+undecided vertices fall short of it.  Otherwise, with `spare` the amount by
+which they exceed it and e_(b) the b-th largest, bound-driven keep forcing
+keeps every undecided u with e(u) < e_(b) - spare: u together with the
+b - 1 largest other decrements cannot cover the surplus, so no improving X
+leaves u out.  The node prunes if the kept set no longer peels, and
+otherwise repeats its safe moves and bounds before it branches.  The keep
 branch and the incumbents peel with the package's one peel,
 ``structure.degeneracy_peel``, and the same per-vertex thresholds; an
 incumbent dropping v from a stuck core re-checks only v's neighbours.
@@ -169,18 +185,24 @@ def max_r_degenerate_set(g, r, within=None):
 
     ``r`` is one int for every vertex (X induces an r-degenerate subgraph)
     or a sequence indexed by vertex; every threshold on ``within`` must be
-    >= 0.  Returns (size, mask, nodes_explored).  Deterministic: branches
-    on the undecided vertex with the largest deg_sub(v) - r[v] (ties by
-    lowest id), removal first.  The components of G[within] are solved one
-    by one and their results added up.  Each starts from the greedy
-    incumbent plus a seeded local search of at most MOVES_PER_VERTEX moves
-    per vertex, run at the root only when the greedy set falls short of
-    the root bound and stopped as soon as it meets that bound; node counts
-    and masks do not depend on the machine.
+    >= 0.  Returns (size, mask, nodes_explored).  Deterministic: branches on
+    the undecided vertex with the largest deg_sub(v) - r[v] (ties by lowest
+    id), removal first.  The edge bound is per vertex: removing an
+    undecided u lowers the edge surplus E(sub) - cap(|sub|) by at most
+    deg_sub(u) - r_min, as u takes deg_sub(u) edges and the cap falls by at
+    least r_min (valid because every improving set has more than r_min
+    vertices).  A node prunes when the largest such decrements cannot cover
+    the surplus, and otherwise keeps, before it branches, every undecided
+    vertex that no improving set can leave out (bound-driven keep forcing;
+    the module docstring gives the rule).  The components of G[within] are
+    solved one by one and their results added up.  Each starts from the
+    greedy incumbent plus a seeded local search of at most MOVES_PER_VERTEX
+    moves per vertex, run at the root only when the greedy set falls short
+    of the root bound and stopped as soon as it meets that bound; node
+    counts and masks do not depend on the machine.
     """
     within = g.full_mask if within is None else within
-    if within & ~g.full_mask:
-        raise ValueError(f"within names vertices outside 0..{g.n - 1}")
+    g.check_mask(within, "within")
     if isinstance(r, int):
         if r < 0:
             raise ValueError("r must be >= 0")
@@ -235,66 +257,103 @@ def _max_connected(g, r, within):
         nodes += 1
         if best >= ceiling:
             return
-        # safe moves: a vertex with at most r[v] neighbours left is always
-        # in some optimal solution; threshold-0 kept vertices block
+        root = nodes == 1
+        # each pass decides vertices without branching: safe moves, then
+        # the keeps the edge bound forces; a pass that forces none branches
         while True:
-            if zero:
-                blocked = 0
-                for v in bits(kept & zero):
-                    blocked |= adj[v]
-                blocked &= undecided & zero
-                if blocked:
-                    undecided &= ~blocked
-                    packing = None
-            sub = kept | undecided
-            moved = 0
-            for v in bits(undecided):
-                if (adj[v] & sub).bit_count() <= r[v]:
-                    moved |= 1 << v
-            kept |= moved
-            undecided &= ~moved
-            # sub is unchanged: only a newly kept threshold-0 vertex can block
-            if not moved & zero:
+            # safe moves: a vertex with at most r[v] neighbours left is
+            # always in some optimal solution; threshold-0 kept vertices block
+            while True:
+                if zero:
+                    blocked = 0
+                    for v in bits(kept & zero):
+                        blocked |= adj[v]
+                    blocked &= undecided & zero
+                    if blocked:
+                        undecided &= ~blocked
+                        packing = None
+                sub = kept | undecided
+                moved = 0
+                for v in bits(undecided):
+                    if (adj[v] & sub).bit_count() <= r[v]:
+                        moved |= 1 << v
+                kept |= moved
+                undecided &= ~moved
+                # sub is unchanged: only a newly kept threshold-0 vertex can block
+                if not moved & zero:
+                    break
+            if not undecided:
+                size = kept.bit_count()
+                if size > best:
+                    best, best_mask = size, kept
+                return
+            n_sub = sub.bit_count()
+            if n_sub <= best:
+                return
+            # one degree pass: edge count, the undecided vertices' degrees
+            # in sub and the branching vertex
+            deg_sum = 0
+            for u in bits(kept):
+                deg_sum += (adj[u] & sub).bit_count()
+            degs = []
+            v, v_excess = -1, no_excess
+            for u in bits(undecided):
+                d = (adj[u] & sub).bit_count()
+                degs.append(d)
+                if d - r[u] > v_excess:
+                    v, v_excess = u, d - r[u]
+            deg_sum += sum(degs)
+            # removing an undecided u lowers the surplus by at most its
+            # decrement deg_sub(u) - r_min: it takes deg_sub(u) edges and
+            # lowers the cap by at least r_min; upper leaves out the fewest
+            # vertices whose decrements cover the surplus
+            upper = n_sub
+            surplus = deg_sum // 2 - caps[n_sub]
+            if surplus > 0:
+                degs.sort(reverse=True)
+                need = surplus
+                for m, d in enumerate(degs, 1):
+                    need -= d - r_min
+                    if need <= 0:
+                        break
+                if need > 0:
+                    return
+                upper -= m
+                if upper <= best:
+                    return
+            if packing_bound:
+                if packing is None:
+                    packing = len(greedy_cycle_packing(g, sub))
+                upper = min(upper, n_sub - packing)
+                if upper <= best:
+                    return
+            if root:
+                # the root, once its bounds are computed: a local search
+                # that meets them ends the search here
+                root = False
+                upper = min(upper, ceiling)
+                best_mask = _local_search(g, r, within, best_mask, upper)
+                best = best_mask.bit_count()
+                if best >= upper:
+                    return
+            # an improving X leaves out at most b undecided vertices, whose
+            # decrements must cover the surplus: u is kept unless it fits
+            # beside the b - 1 largest others
+            b = n_sub - best - 1
+            if surplus <= 0 or b >= len(degs):
                 break
-        if not undecided:
-            size = kept.bit_count()
-            if size > best:
-                best, best_mask = size, kept
-            return
-        n_sub = sub.bit_count()
-        if n_sub <= best:
-            return
-        # one degree pass: edge count, maximum degree and branching vertex
-        deg_sum = max_deg = 0
-        v, v_excess = -1, no_excess
-        for u in bits(sub):
-            d = (adj[u] & sub).bit_count()
-            deg_sum += d
-            if d > max_deg:
-                max_deg = d
-            if d - r[u] > v_excess and undecided >> u & 1:
-                v, v_excess = u, d - r[u]
-        # each removed vertex lowers the excess by at most max_deg - r_min
-        upper = n_sub
-        excess = deg_sum // 2 - caps[n_sub]
-        if excess > 0:
-            upper -= -(-excess // (max_deg - r_min))
-            if upper <= best:
+            spare = sum(degs[:b]) - b * r_min - surplus
+            cut = degs[b - 1] - spare
+            if degs[-1] >= cut:
+                break
+            forced = 0
+            for u in bits(undecided):
+                if (adj[u] & sub).bit_count() < cut:
+                    forced |= 1 << u
+            if degeneracy_peel(g, kept | forced, r):
                 return
-        if packing_bound:
-            if packing is None:
-                packing = len(greedy_cycle_packing(g, sub))
-            upper = min(upper, n_sub - packing)
-            if upper <= best:
-                return
-        if nodes == 1:
-            # the root, with its bounds computed once: a local search that
-            # meets them ends the search here
-            upper = min(upper, ceiling)
-            best_mask = _local_search(g, r, within, best_mask, upper)
-            best = best_mask.bit_count()
-            if best >= upper:
-                return
+            kept |= forced
+            undecided &= ~forced
         bit = 1 << v
         rest = undecided & ~bit
         rec(kept, rest)

@@ -9,6 +9,7 @@ from convlab.graph import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    path_graph,
     vset,
 )
 from convlab.process import (
@@ -52,6 +53,26 @@ def test_empty_seed_incomplete():
 def test_threshold_must_be_positive():
     with pytest.raises(ValueError):
         run_process(cycle_graph(4), 0, 0)
+
+
+@pytest.mark.parametrize("mask", [0b1000, 0b1111, -1])
+def test_masks_outside_the_graph_rejected(mask):
+    # a stray bit would keep `converted` from ever equalling the full mask,
+    # or index past the adjacency rows in the peel
+    g = path_graph(3)
+    for call in (run_process, is_conversion_set, residual_core, is_k_immune,
+                 contains_k_immune_set, characterization_check):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            call(g, mask, 1)
+
+
+def test_masks_inside_the_graph_accepted():
+    g = path_graph(3)
+    assert run_process(g, 0b111, 1).complete
+    assert is_conversion_set(g, 0b001, 1)
+    assert residual_core(g, 0b110, 1) == 0
+    assert not is_k_immune(g, 0b100, 1)
+    assert characterization_check(g, 0b010, 1).simulated
 
 
 def test_layers_disjoint_and_supported():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from convlab.constructions import (catalog, cycle_replacement, path_replacement, product_deleted,
                                    random_regular_graph, tree_gadget_graph)
 from convlab.graph import bits, build_graph, circulant_graph, cycle_graph, disjoint_union, path_graph
+from convlab import search
 from convlab.process import run_process
 from convlab.search import _greedy_feasible, max_r_degenerate_set, shortest_cycle
 from convlab.solver import ck_exact
@@ -133,8 +134,25 @@ def test_node_count_pins():
     res = ck_exact(circulant_graph(30, (1, 3, 5)), 4)
     assert (res.value, res.nodes_explored) == (9, 1)
     # proof-bound: greedy already finds the optimum, the search proves it
+    # one above the root edge bound, with the bound forcing keeps
     c24 = circulant_graph(24, (1, 2, 12))
-    assert max_r_degenerate_set(c24, 2)[2] == 38130
+    assert max_r_degenerate_set(c24, 2)[2] == 3618
+    res = ck_exact(circulant_graph(20, (1, 2, 10)), 4)
+    assert (res.value, res.nodes_explored) == (9, 187)
+
+
+# (n, seed) -> (c_3, nodes) for random_regular_graph(n, 5, seed): r = 2, and
+# seed 1 of each order meets the root edge bound
+RANDOM_5_REGULAR_PINS = {
+    (24, 1): (5, 1), (24, 2): (6, 5304), (24, 3): (6, 4368),
+    (30, 1): (6, 1), (30, 2): (6, 3985), (30, 3): (7, 33468),
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(RANDOM_5_REGULAR_PINS))
+def test_random_5_regular_node_count_pins(n, seed):
+    res = ck_exact(random_regular_graph(n, 5, seed=seed), 3)
+    assert (res.value, res.nodes_explored) == RANDOM_5_REGULAR_PINS[n, seed]
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
@@ -146,16 +164,23 @@ def test_random_cubic_60_node_count_pins(seed):
 
 
 def test_no_instance_gains_nodes_pins():
-    # a larger incumbent only prunes more: none of these may grow past the
-    # count the search had with the greedy incumbent alone
+    # a larger incumbent and forced keeps only prune more: none of these
+    # may grow past the count the search had with the greedy incumbent
+    # alone (the first four) or before the edge bound forced keeps
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     cases = [
         (tree_gadget_graph(star), 2, 897),
-        (circulant_graph(20, (1, 2, 10)), 4, 1198),
         (_grid(4, 5), 2, 10232),
         (cycle_replacement(4, 2), 2, 10579),
         (path_replacement(4, 1), 2, 5745),
+        (circulant_graph(20, (1, 2, 10)), 4, 1178),
+        (circulant_graph(24, (1, 2, 12)), 3, 38130),
+        (cycle_replacement(3, 2), 2, 1081),
+        (_grid(5, 5), 2, 28281),
     ]
+    cases += [(random_regular_graph(n, 5, seed=seed), 3, before) for (n, seed), before in (
+        ((24, 1), 1), ((24, 2), 52522), ((24, 3), 53403),
+        ((30, 1), 1), ((30, 2), 54034), ((30, 3), 500968))]
     for g, k, before in cases:
         assert ck_exact(g, k).nodes_explored <= before
 
@@ -230,6 +255,45 @@ def test_disconnected_graph_adds_up_components():
         size, mask, _ = max_r_degenerate_set(g, r)
         assert size == sum(max_r_degenerate_set(h, r)[0] for h in parts)
         assert mask.bit_count() == size and is_r_degenerate(g, mask, r)
+
+
+def _naive_peels(g, mask, r):
+    """True iff mask peels to empty: drop any vertex with at most r[v]
+    neighbours left, lowest id first, until none can go."""
+    while mask:
+        for v in range(g.n):
+            if mask >> v & 1 and (g.adj[v] & mask).bit_count() <= r[v]:
+                mask &= ~(1 << v)
+                break
+        else:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("moves", [0, search.MOVES_PER_VERTEX])
+def test_mixed_thresholds_match_brute_force(monkeypatch, moves):
+    # per-vertex thresholds not of the form deg(v) - k, where the edge
+    # bound's decrement deg_sub(u) - r_min and the keeps it forces are
+    # loosest: uniform draws from 0..3, and deg(v) - k moved by up to one.
+    # Without local-search moves the branch and bound alone must climb from
+    # the greedy incumbent, so a bound that prunes or forces wrongly shows
+    # in the value.
+    monkeypatch.setattr(search, "MOVES_PER_VERTEX", moves)
+    rng = random.Random(4021)
+    for trial in range(600):
+        n = rng.randrange(1, 13)
+        p = rng.choice((0.3, 0.5, 0.7, 0.9))
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        if trial % 2:
+            k = rng.choice((1, 2, 3))
+            r = [min(3, max(0, g.degree(v) - k + rng.choice((-1, 0, 1)))) for v in range(n)]
+        else:
+            r = [rng.randrange(4) for _ in range(n)]
+        within = g.full_mask if rng.random() < 0.5 else rng.randrange(1 << n)
+        best = max(s.bit_count() for s in range(1 << n) if not s & ~within and _naive_peels(g, s, r))
+        size, mask, _ = max_r_degenerate_set(g, r, within)
+        assert size == best == mask.bit_count()
+        assert not mask & ~within and _naive_peels(g, mask, r)
 
 
 def test_uniform_threshold_sequence_matches_int():
