@@ -7,10 +7,13 @@ and returns the stuck core.  With per-vertex thresholds r(v) = deg(v) - k
 it decides k-conversion (``process.residual_core``) and the solver's
 feasibility checks; with a uniform r = 1 it finds the 2-core, which is
 empty iff the set induces a forest.
+
+``_unit_flow``, unit-capacity augmenting paths on bitmask rows, is the one
+max flow behind both vertex and edge connectivity.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 
 from .graph import Graph, bits, components, is_connected
 
@@ -89,6 +92,7 @@ def girth(g, mask=None):
     if it is a forest."""
     if mask is None:
         mask = g.full_mask
+    g.check_mask(mask, "mask")
     return _shortest_cycle_root(g, mask)[0]
 
 
@@ -134,85 +138,60 @@ def bridges(g):
     return sorted(out)
 
 
-def _max_flow(n, cap, s, t):
-    """Edmonds-Karp on a dict-of-dicts capacity structure (mutated copy)."""
-    flow = 0
-    while True:
-        parent = {s: None}
+def _unit_flow(cap, s, t):
+    """Maximum s-t flow with a unit arc u -> w for each w in the bitmask
+    cap[u], by BFS augmenting paths.  flow[u]: heads of u's arcs with flow,
+    back[u]: tails of those into u; pushing against flow cancels it."""
+    flow, back = [0] * len(cap), [0] * len(cap)
+    for value in count():  # augmenting paths found so far
+        parent = {}
+        unseen = (1 << len(cap)) - 1 & ~(1 << s)
         queue = [s]
-        while queue and t not in parent:
-            u = queue.pop(0)
-            for v, c in cap.get(u, {}).items():
-                if c > 0 and v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        if t not in parent:
-            return flow
-        # unit-ish capacities: bottleneck
-        path = []
-        v = t
-        while parent[v] is not None:
-            path.append((parent[v], v))
-            v = parent[v]
-        aug = min(cap[u][v] for u, v in path)
-        for u, v in path:
-            cap[u][v] -= aug
-            cap.setdefault(v, {}).setdefault(u, 0)
-            cap[v][u] += aug
-        flow += aug
-
-
-_BIG = 10**9
-
-
-def _vertex_flow(g, s, t):
-    """Number of internally disjoint s-t paths (s, t non-adjacent)."""
-    # split v -> (2v = in, 2v+1 = out)
-    cap = {}
-    for v in range(g.n):
-        c = _BIG if v in (s, t) else 1
-        cap.setdefault(2 * v, {})[2 * v + 1] = c
-    for u, v in g.edges():
-        cap.setdefault(2 * u + 1, {})[2 * v] = _BIG
-        cap.setdefault(2 * v + 1, {})[2 * u] = _BIG
-    return _max_flow(2 * g.n, cap, 2 * s + 1, 2 * t)
-
-
-def _edge_flow(g, s, t):
-    cap = {}
-    for u, v in g.edges():
-        cap.setdefault(u, {})[v] = 1
-        cap.setdefault(v, {})[u] = 1
-    return _max_flow(g.n, cap, s, t)
+        for u in queue:  # grows while it is scanned
+            new = (cap[u] & ~flow[u] | back[u]) & unseen
+            if new:
+                unseen ^= new
+                for w in bits(new):
+                    parent[w] = u
+                    queue.append(w)
+                if new >> t & 1:
+                    break
+        else:
+            return value
+        w = t
+        while w != s:
+            u = parent[w]
+            if back[u] >> w & 1:
+                flow[w] ^= 1 << u
+                back[u] ^= 1 << w
+            else:
+                flow[u] |= 1 << w
+                back[w] |= 1 << u
+            w = u
 
 
 def vertex_connectivity(g):
-    if g.n <= 1:
-        return 0
-    if not is_connected(g):
+    """Fewest vertices whose removal disconnects g (n - 1 for K_n): the least
+    ``_unit_flow`` from 2x+1 to 2y over the Even-Tarjan pairs x, y, where
+    v is the arc 2v -> 2v+1 and edge uw the arcs 2u+1 -> 2w and 2w+1 -> 2u."""
+    if g.n <= 1 or not is_connected(g):
         return 0
     if g.edge_count == g.n * (g.n - 1) // 2:
         return g.n - 1
-    # Even-Tarjan style: a min-degree root, flows to its non-neighbours,
-    # plus flows between non-adjacent pairs of its neighbours.
+    cap = [row for v in range(g.n)
+           for row in (1 << 2 * v + 1, sum(1 << 2 * w for w in g.neighbors(v)))]
     v0 = min(range(g.n), key=lambda v: (g.degree(v), v))
-    best = g.degree(v0)
-    for t in range(g.n):
-        if t != v0 and not g.has_edge(v0, t):
-            best = min(best, _vertex_flow(g, v0, t))
-    nbrs = list(g.neighbors(v0))
-    for x, y in combinations(nbrs, 2):
-        if not g.has_edge(x, y):
-            best = min(best, _vertex_flow(g, x, y))
-    return best
+    pairs = [(v0, t) for t in range(g.n) if t != v0 and not g.has_edge(v0, t)]
+    pairs += [(x, y) for x, y in combinations(g.neighbors(v0), 2) if not g.has_edge(x, y)]
+    return min([g.degree(v0)] + [_unit_flow(cap, 2 * x + 1, 2 * y) for x, y in pairs])
 
 
 def edge_connectivity(g):
-    if g.n <= 1:
+    """Fewest edges whose removal disconnects g: the least ``_unit_flow``
+    from vertex 0 when each edge is two opposite unit arcs (``g.adj``)."""
+    if g.n <= 1 or not is_connected(g):
         return 0
-    if not is_connected(g):
-        return 0
-    return min(_edge_flow(g, 0, t) for t in range(1, g.n))
+    return min(_unit_flow(g.adj, 0, t) for t in range(1, g.n))
 
 
 def is_k_connected(g, k):
@@ -232,7 +211,7 @@ def cyclic_edge_connectivity_at_least(g, c):
     if g.edge_count > 200:
         raise ValueError("size guard exceeded (m > 200)")
     edges = g.edges()
-    for size in range(1, c):
+    for size in range(c):  # size 0: g itself may hold two cyclic components
         for cut in combinations(edges, size):
             adj = list(g.adj)
             for u, v in cut:
@@ -343,6 +322,7 @@ def is_r_degenerate(g, x_mask, r):
     """True iff G[x_mask] peels to empty at the uniform threshold r."""
     if r < 0:
         raise ValueError("r must be >= 0")
+    g.check_mask(x_mask, "x_mask")
     return not degeneracy_peel(g, x_mask, [r] * g.n)
 
 

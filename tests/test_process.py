@@ -21,6 +21,7 @@ from convlab.process import (
     residual_core,
     run_process,
 )
+from convlab.structure import girth, is_r_degenerate
 
 
 def test_layered_trace_on_catalog_4regular():
@@ -58,10 +59,11 @@ def test_threshold_must_be_positive():
 @pytest.mark.parametrize("mask", [0b1000, 0b1111, -1])
 def test_masks_outside_the_graph_rejected(mask):
     # a stray bit would keep `converted` from ever equalling the full mask,
-    # or index past the adjacency rows in the peel
+    # or index past the adjacency rows in the peel and the girth scan
     g = path_graph(3)
     for call in (run_process, is_conversion_set, residual_core, is_k_immune,
-                 contains_k_immune_set, characterization_check):
+                 contains_k_immune_set, characterization_check, is_r_degenerate,
+                 lambda g, mask, _: girth(g, mask)):
         with pytest.raises(ValueError, match="outside 0..2"):
             call(g, mask, 1)
 

@@ -5,10 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convlab.constructions import catalog, path_replacement, triangle_replace
+from convlab.constructions import (
+    catalog,
+    generalized_petersen,
+    path_replacement,
+    random_regular_graph,
+    triangle_replace,
+)
 from convlab.graph import (
     bits,
     build_graph,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -18,6 +25,7 @@ from convlab.graph import (
 from convlab.structure import (
     CLASS1,
     CLASS2,
+    _unit_flow,
     bridges,
     chromatic_class,
     cyclic_edge_connectivity_at_least,
@@ -95,14 +103,47 @@ def test_bridges_match_networkx():
         assert bridges(g) == expected
 
 
-def test_connectivity_matches_networkx():
+def _connectivity_sweep():
     rng = random.Random(9)
     for _ in range(30):
-        g = _random_connected(rng, rng.randrange(3, 12), rng.randrange(0, 12))
+        yield _random_connected(rng, rng.randrange(3, 12), rng.randrange(0, 12))
+    yield from (build_graph(n, []) for n in range(3))
+    yield build_graph(2, [(0, 1)])
+    yield from (complete_graph(n) for n in range(3, 8))
+    yield from (complete_bipartite(a, b) for a in range(1, 5) for b in range(a, 6))
+    for _ in range(10):  # disconnected, some with an isolated vertex
+        g = _random_connected(rng, rng.randrange(2, 8), rng.randrange(0, 6))
+        yield disjoint_union(g, _random_connected(rng, rng.randrange(1, 8), rng.randrange(0, 6)))
+    for _ in range(20):  # dense G(n, p)
+        n, p = rng.randrange(4, 13), rng.uniform(0.5, 0.95)
+        yield build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    yield from (random_regular_graph(n, d, seed=n)
+                for d in (3, 4) for n in range(d + 1, 31) if n * d % 2 == 0)
+    yield from (generalized_petersen(n, k) for n in range(3, 13) for k in range(1, (n + 1) // 2))
+
+
+def test_connectivity_matches_networkx():
+    for g in _connectivity_sweep():
         nxg = nx.Graph(g.edges())
         nxg.add_nodes_from(range(g.n))
-        assert vertex_connectivity(g) == nx.node_connectivity(nxg)
-        assert edge_connectivity(g) == nx.edge_connectivity(nxg)
+        node, edge = (nx.node_connectivity(nxg), nx.edge_connectivity(nxg)) if g.n > 1 else (0, 0)
+        assert (vertex_connectivity(g), edge_connectivity(g)) == (node, edge), g.edges()
+
+
+def test_unit_flow_matches_networkx_on_directed_networks():
+    # s=0 -> 1 -> 3 -> t=6 is found first; the second path 0 -> 2 -> 3 -> 1
+    # -> 4 -> 5 -> 6 must cancel its arc 1 -> 3
+    cap = [vset([1, 2]), vset([3, 4]), vset([3]), vset([6]), vset([5]), vset([6]), 0]
+    assert _unit_flow(cap, 0, 6) == 2
+    rng = random.Random(12)
+    for _ in range(300):
+        n, p = rng.randrange(2, 9), rng.random()
+        cap = [sum(1 << w for w in range(n) if w != u and rng.random() < p) for u in range(n)]
+        s, t = rng.sample(range(n), 2)
+        nxg = nx.DiGraph((u, w) for u in range(n) for w in bits(cap[u]))
+        nxg.add_nodes_from(range(n))
+        nx.set_edge_attributes(nxg, 1, "capacity")
+        assert _unit_flow(cap, s, t) == nx.maximum_flow_value(nxg, s, t), (cap, s, t)
 
 
 def test_connectivity_named():
@@ -124,6 +165,9 @@ def test_cyclic_connectivity():
     assert cyclic_edge_connectivity_at_least(catalog()["petersen"], 4)
     assert cyclic_edge_connectivity_at_least(catalog()["dodecahedron"], 4)
     assert not cyclic_edge_connectivity_at_least(triangle_replace(complete_graph(4)), 4)
+    two_k4 = disjoint_union(complete_graph(4), complete_graph(4))  # the empty cut splits it
+    assert not cyclic_edge_connectivity_at_least(two_k4, 1)
+    assert not cyclic_edge_connectivity_at_least(two_k4, 2)
     with pytest.raises(ValueError, match="cubic"):
         cyclic_edge_connectivity_at_least(complete_graph(5), 4)
     with pytest.raises(ValueError, match="c <= 4"):
