@@ -13,9 +13,9 @@ from .graph import are_isomorphic, vset_members
 from .process import is_conversion_set
 from .search import greedy_cycle_packing
 from .structure import (
+    bridges,
     is_connected,
     is_cubic,
-    is_k_connected,
     is_maximal_r_degenerate,
     is_r_degenerate,
     max_degree,
@@ -105,7 +105,8 @@ def upper_bounds_cubic(g):
         g2 = catalog_graph("g2")
         if not (are_isomorphic(g, g1) or are_isomorphic(g, g2)):
             out.append(_upper("one-third", Fraction(n, 3), "Zheng-Lu"))
-    if is_k_connected(g, 2):
+    # a cubic graph has a cut vertex iff it has a bridge
+    if is_connected(g) and not bridges(g):
         out.append(_upper("two-connected", Fraction(n + 2, 3), "Dross et al."))
     return out
 
@@ -147,8 +148,3 @@ def equality_certificate(g, k, s_mask):
         return NO_EQUALITY
     return MEETS_STATON_EQUALITY if r == 1 else MEETS_GENERAL_EQUALITY
 
-
-def meets_ceiled_bound(g, k, value):
-    """True iff the given conversion number equals the strongest rounded
-    lower bound."""
-    return value == best_lower_bound(g, k)

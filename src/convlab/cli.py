@@ -11,7 +11,7 @@ import json
 import sys
 
 from .bounds import lower_bounds, upper_bounds_cubic
-from .constructions import RECIPE_NAMES, Recipe, build_recipe, catalog
+from .constructions import RECIPES, Recipe, build_recipe, catalog
 from .fileio import load_graph, to_edge_list, to_graph6
 from .graph import vset, vset_members
 from .process import run_process
@@ -212,7 +212,7 @@ def build_parser():
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("construct", help="build a graph from a recipe")
-    p.add_argument("recipe", choices=RECIPE_NAMES)
+    p.add_argument("recipe", choices=RECIPES)
     p.add_argument("--param", action="append", default=[],
                    help="key=value, repeatable (e.g. --param k=3)")
     p.add_argument("--format", choices=("edges", "graph6"), default="edges")

@@ -141,11 +141,7 @@ def join_with_empty(h, k):
     if t >= k:
         raise ConstructionError(f"core degree {t} must be below k = {k}")
     extra = k - t
-    edges = h.edges()
-    for j in range(extra):
-        for v in range(k):
-            edges.append((v, k + j))
-    g = build_graph(k + extra, edges)
+    g = build_graph(k + extra, h.edges() + [(v, k + j) for j in range(extra) for v in range(k)])
     if regular_degree(g) != k:
         raise RuntimeError(f"internal error: join with an empty graph is not {k}-regular")
     return g, vset(range(k))
@@ -159,61 +155,18 @@ def join_with_empty(h, k):
 def extremal_regular(k):
     """A (k+1)-regular graph of order 2k+2 with a k-seed that converts it.
 
-    Starts from K_{2,k} (seed side of size k, first pair converting at step
-    one) and repeatedly attaches pairs of new vertices: each new vertex is
-    joined to its predecessor in the pair chain and to the k-1 seed vertices
-    of highest remaining degree deficiency (ties by lowest id).  Even k ends
-    with an edge between the last pair; odd k ends with one extra vertex
-    joined to the last pair and the k-1 still-deficient seeds.
+    Seeds are 0..k-1.  Non-seed k+j (0 <= j <= k+1) is joined to every seed
+    except seed k+1-j, and to k+j+2 when j < k; 2k is joined to 2k+1.  The
+    non-seeds form two paths k, k+2, ... and k+1, k+3, ... whose far ends
+    meet, so the seeds convert the first pair and then the rest pair by pair.
     """
     if k < 2:
         raise ConstructionError(f"requires k >= 2, got {k}")
-    target = k + 1
-    edges = []
-    deg = {}
-
-    def add_edge(a, b):
-        edges.append((a, b))
-        deg[a] = deg.get(a, 0) + 1
-        deg[b] = deg.get(b, 0) + 1
-
-    seeds = list(range(k))
-    u, v = k, k + 1
-    for s in seeds:
-        add_edge(s, u)
-        add_edge(s, v)
-
-    def neediest():
-        return sorted(seeds, key=lambda s: (-(target - deg[s]), s))
-
-    rounds = k // 2 if k % 2 == 0 else (k - 1) // 2
-    nxt = k + 2
-    for _ in range(rounds):
-        u2, v2 = nxt, nxt + 1
-        nxt += 2
-        deg[u2] = deg[v2] = 0
-        add_edge(u2, u)
-        for s in neediest()[: k - 1]:
-            add_edge(u2, s)
-        add_edge(v2, v)
-        for s in neediest()[: k - 1]:
-            add_edge(v2, s)
-        u, v = u2, v2
-    if k % 2 == 0:
-        add_edge(u, v)
-        n = nxt
-    else:
-        w = nxt
-        deg[w] = 0
-        add_edge(w, u)
-        add_edge(w, v)
-        for s in neediest()[: k - 1]:
-            add_edge(w, s)
-        n = nxt + 1
-
-    g = build_graph(n, edges)
-    seed_mask = vset(seeds)
-    if g.n != 2 * k + 2 or regular_degree(g) != k + 1:
+    edges = ([(s, k + j) for j in range(k + 2) for s in range(k) if s != k + 1 - j]
+             + [(k + j, k + j + 2) for j in range(k)] + [(2 * k, 2 * k + 1)])
+    g = build_graph(2 * k + 2, edges)
+    seed_mask = vset(range(k))
+    if regular_degree(g) != k + 1:
         raise ConstructionError("internal error: extremal construction is malformed")
     if not is_conversion_set(g, seed_mask, k):
         raise ConstructionError("internal error: extremal seed does not convert")
@@ -509,44 +462,49 @@ class Recipe:
     params: dict = field(default_factory=dict)
 
 
+def _tree_shorthand(name):
+    trees = {"k2": path_graph(2), "star": build_graph(4, [(0, 1), (0, 2), (0, 3)])}
+    if name not in trees:
+        raise ConstructionError(f"unknown tree shorthand {name!r} (use k2 or star)")
+    return trees[name]
+
+
+# name -> (builder, the names of its arguments in order, defaults of the
+# optional ones); a builder returns a graph, or a graph and a seed mask
+RECIPES = {
+    "catalog": (lambda g: g, ("graph",), {}),
+    "join-empty": (join_with_empty, ("graph", "k"), {}),
+    "extremal": (extremal_regular, ("k",), {}),
+    "path-replacement": (path_replacement, ("m", "leaf"), {"leaf": 1}),
+    "cycle-replacement": (cycle_replacement, ("m", "block"), {"block": 2}),
+    "triangle-replace": (triangle_replace, ("graph",), {}),
+    "product": (product_deleted, ("graph", "inner", "removed", "seed"), {"removed": None, "seed": 0}),
+    "doubled": (doubled_block, ("graph", "u", "v"), {}),
+    "tree-gadgets": (tree_gadget_graph, ("tree",), {}),
+    "random-regular": (random_regular_graph, ("n", "d", "seed"), {"seed": 0}),
+}
+# parameters given as text are parsed by name: graphs are catalog names,
+# trees are shorthands, everything else is an integer
+_PARSERS = {"graph": catalog_graph, "inner": catalog_graph, "tree": _tree_shorthand}
+
+
 def build_recipe(recipe):
-    """Build a graph from a Recipe.  Graph-valued parameters are given as
-    catalog names.  Returns the graph (plus a seed mask for recipes that
-    produce one, else None)."""
-    name, p = recipe.name, recipe.params
-    if name == "catalog":
-        return catalog_graph(p["graph"]), None
-    if name == "join-empty":
-        return join_with_empty(catalog_graph(p["graph"]), int(p["k"]))
-    if name == "extremal":
-        return extremal_regular(int(p["k"]))
-    if name == "path-replacement":
-        return path_replacement(int(p["m"]), int(p.get("leaf", 1))), None
-    if name == "cycle-replacement":
-        return cycle_replacement(int(p["m"]), int(p.get("block", 2))), None
-    if name == "triangle-replace":
-        return triangle_replace(catalog_graph(p["graph"])), None
-    if name == "product":
-        g = catalog_graph(p["graph"])
-        a = catalog_graph(p["inner"])
-        removed = int(p["removed"]) if "removed" in p else None
-        return product_deleted(g, a, removed, int(p.get("seed", 0))), None
-    if name == "doubled":
-        return doubled_block(catalog_graph(p["graph"]), int(p["u"]), int(p["v"])), None
-    if name == "tree-gadgets":
-        t = p["tree"]
-        if t == "k2":
-            tree = path_graph(2)
-        elif t == "star":
-            tree = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    """Build a graph from a Recipe.  Returns the graph plus a seed mask for
+    recipes that produce one, else None."""
+    if recipe.name not in RECIPES:
+        raise ConstructionError(f"unknown recipe {recipe.name!r}; choices: {', '.join(RECIPES)}")
+    build, names, defaults = RECIPES[recipe.name]
+    for key in recipe.params:
+        if key not in names:
+            raise ConstructionError(f"recipe {recipe.name!r} has no parameter {key!r};"
+                                    f" parameters: {', '.join(names)}")
+    args = []
+    for key in names:
+        if key in recipe.params:
+            args.append(_PARSERS.get(key, int)(recipe.params[key]))
+        elif key in defaults:
+            args.append(defaults[key])
         else:
-            raise ConstructionError(f"unknown tree shorthand {t!r} (use k2 or star)")
-        return tree_gadget_graph(tree), None
-    if name == "random-regular":
-        return random_regular_graph(int(p["n"]), int(p["d"]), int(p.get("seed", 0))), None
-    raise ConstructionError(f"unknown recipe {name!r}")
-
-
-RECIPE_NAMES = ("catalog", "join-empty", "extremal", "path-replacement",
-                "cycle-replacement", "triangle-replace", "product", "doubled",
-                "tree-gadgets", "random-regular")
+            raise ConstructionError(f"recipe {recipe.name!r} needs parameter {key!r}")
+    out = build(*args)
+    return (out, None) if isinstance(out, Graph) else out

@@ -143,11 +143,6 @@ def induced_subgraph(g, mask):
     return build_graph(len(old_ids), edges), old_ids
 
 
-def remove_vertices(g, mask):
-    """Graph with the vertices of ``mask`` deleted (relabelled densely)."""
-    return induced_subgraph(g, g.full_mask & ~mask)
-
-
 def disjoint_union(g, h):
     edges = g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()]
     return build_graph(g.n + h.n, edges)

@@ -10,12 +10,13 @@ from convlab.bounds import (
     best_lower_bound,
     equality_certificate,
     lower_bounds,
-    meets_ceiled_bound,
     upper_bounds_cubic,
 )
-from convlab.constructions import catalog, small_regular, tree_gadget_graph, triangle_replace
-from convlab.graph import build_graph, complete_graph, path_graph, vset
+from convlab.constructions import (catalog, path_replacement, random_regular_graph, small_regular,
+                                   tree_gadget_graph, triangle_replace)
+from convlab.graph import build_graph, complete_graph, disjoint_union, path_graph, vset
 from convlab.solver import ck_exact, ck_oracle
+from convlab.structure import is_k_connected
 
 
 def _entry(entries, name):
@@ -95,6 +96,16 @@ def test_upper_bounds_applicability():
         upper_bounds_cubic(complete_graph(4))
 
 
+def test_two_connected_entry_matches_vertex_connectivity():
+    # the entry tests for bridges: a cubic graph has a cut vertex iff it has one
+    graphs = [random_regular_graph(n, 3, seed) for n in range(6, 31, 2) for seed in range(13)]
+    graphs += [path_replacement(m, leaf) for m in range(2, 7) for leaf in (1, 3)]
+    graphs += [disjoint_union(complete_graph(4), catalog()["petersen"])]
+    for g in graphs:
+        names = [e.name for e in upper_bounds_cubic(g)]
+        assert ("two-connected" in names) == is_k_connected(g, 2), g.edges()
+
+
 def test_tree_gadget_exact_entry():
     g = tree_gadget_graph(path_graph(2))
     entry = _entry(upper_bounds_cubic(g), "tree-gadget-exact")
@@ -116,7 +127,7 @@ def test_equality_certificate_k4_gap():
     g = complete_graph(4)
     value = ck_oracle(g, 2).value
     assert value == 2 == ceil((4 + 2) / 4)
-    assert meets_ceiled_bound(g, 2, value)
+    assert value == best_lower_bound(g, 2)
     exact = Fraction(4 + 2, 4)
     assert Fraction(value) != exact
     from itertools import combinations

@@ -1,7 +1,25 @@
 import json
 
+import pytest
+
 from convlab.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
+from convlab.constructions import RECIPES
 from convlab.fileio import load_graph
+
+# recipe -> every one of its parameters, and the graph6 the CLI emits for them
+CONSTRUCT_SAMPLES = {
+    "catalog": (["graph=petersen"], "IheA@GUAo"),
+    "join-empty": (["graph=k4", "k=4"], "D~{"),
+    "extremal": (["k=4"], "I?~vUiq[W"),
+    "path-replacement": (["m=3", "leaf=3"], "ShSkk?@?G?_D?T?A??G?@??C??g??g?AS"),
+    "cycle-replacement": (["m=3", "block=4"], "QhNK?C@?G@_X?C??_?G_@??K?BG"),
+    "triangle-replace": (["graph=k4"], "K{CY?SBG?G_F"),
+    "product": (["graph=k4", "inner=g1", "removed=0", "seed=3"],
+                "[hIY_O@?G?_A?R?I??G?@??C??GC?O?@K??S?@?????_??@???@_??@???AW??@S"),
+    "doubled": (["graph=petersen", "u=0", "v=1"], "OgAQpWG?H?a?_??H?Ao?U"),
+    "tree-gadgets": (["tree=star"], "Qw?W{o???@_FOK??????B??[_@_"),
+    "random-regular": (["n=10", "d=3", "seed=7"], "I_KUAWsg_"),
+}
 
 
 def test_simulate_layers(capsys):
@@ -83,6 +101,23 @@ def test_verify_single_suite(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_PASS
     assert out.startswith("PASS")
+
+
+@pytest.mark.parametrize("recipe", sorted(RECIPES))
+def test_construct_every_recipe(recipe, capsys):
+    params, expected = CONSTRUCT_SAMPLES[recipe]
+    assert {p.split("=")[0] for p in params} == set(RECIPES[recipe][1])
+    args = [arg for p in params for arg in ("--param", p)]
+    assert main(["construct", recipe, *args, "--format", "graph6"]) == EXIT_PASS
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_construct_parameter_errors_name_recipe_and_parameter(capsys):
+    assert main(["construct", "extremal"]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: recipe 'extremal' needs parameter 'k'\n"
+    assert main(["construct", "extremal", "--param", "k=3", "--param", "bogus=1"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: recipe 'extremal' has no parameter 'bogus'")
 
 
 def test_error_exit_codes(capsys):

@@ -128,6 +128,79 @@ def test_extremal_regular_even_and_odd():
         extremal_regular(1)
 
 
+# The deficiency-driven procedure that built the extremal family before its
+# closed form; kept as the reference the closed form must reproduce.
+def _extremal_reference(k):
+    """A (k+1)-regular graph of order 2k+2 with a k-seed that converts it.
+
+    Starts from K_{2,k} (seed side of size k, first pair converting at step
+    one) and repeatedly attaches pairs of new vertices: each new vertex is
+    joined to its predecessor in the pair chain and to the k-1 seed vertices
+    of highest remaining degree deficiency (ties by lowest id).  Even k ends
+    with an edge between the last pair; odd k ends with one extra vertex
+    joined to the last pair and the k-1 still-deficient seeds.
+    """
+    if k < 2:
+        raise ConstructionError(f"requires k >= 2, got {k}")
+    target = k + 1
+    edges = []
+    deg = {}
+
+    def add_edge(a, b):
+        edges.append((a, b))
+        deg[a] = deg.get(a, 0) + 1
+        deg[b] = deg.get(b, 0) + 1
+
+    seeds = list(range(k))
+    u, v = k, k + 1
+    for s in seeds:
+        add_edge(s, u)
+        add_edge(s, v)
+
+    def neediest():
+        return sorted(seeds, key=lambda s: (-(target - deg[s]), s))
+
+    rounds = k // 2 if k % 2 == 0 else (k - 1) // 2
+    nxt = k + 2
+    for _ in range(rounds):
+        u2, v2 = nxt, nxt + 1
+        nxt += 2
+        deg[u2] = deg[v2] = 0
+        add_edge(u2, u)
+        for s in neediest()[: k - 1]:
+            add_edge(u2, s)
+        add_edge(v2, v)
+        for s in neediest()[: k - 1]:
+            add_edge(v2, s)
+        u, v = u2, v2
+    if k % 2 == 0:
+        add_edge(u, v)
+        n = nxt
+    else:
+        w = nxt
+        deg[w] = 0
+        add_edge(w, u)
+        add_edge(w, v)
+        for s in neediest()[: k - 1]:
+            add_edge(w, s)
+        n = nxt + 1
+
+    g = build_graph(n, edges)
+    seed_mask = vset(seeds)
+    if g.n != 2 * k + 2 or regular_degree(g) != k + 1:
+        raise ConstructionError("internal error: extremal construction is malformed")
+    if not is_conversion_set(g, seed_mask, k):
+        raise ConstructionError("internal error: extremal seed does not convert")
+    return g, seed_mask
+
+
+def test_extremal_closed_form_matches_reference_procedure():
+    for k in range(2, 41):
+        g, seed = extremal_regular(k)
+        ref, ref_seed = _extremal_reference(k)
+        assert (g.adj, seed) == (ref.adj, ref_seed), k
+
+
 def test_extremal_k3_matches_catalog():
     g, _ = extremal_regular(3)
     assert are_isomorphic(g, catalog()["layered4reg"])

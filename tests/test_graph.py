@@ -12,7 +12,6 @@ from convlab.graph import (
     induced_subgraph,
     is_connected,
     path_graph,
-    remove_vertices,
     vset,
     vset_members,
 )
@@ -74,12 +73,8 @@ def test_induced_subgraph_relabels():
     assert old == [1, 2, 4]
     assert sub.n == 3
     assert sub.edges() == [(0, 1)]  # only 1-2 survives
-
-
-def test_remove_vertices():
-    g = complete_graph(4)
-    h, _ = remove_vertices(g, vset([0]))
-    assert h.n == 3 and h.edge_count == 3
+    h, old = induced_subgraph(complete_graph(4), vset([1, 2, 3]))
+    assert old == [1, 2, 3] and h.n == 3 and h.edge_count == 3
 
 
 def test_isomorphism_positive_and_negative():

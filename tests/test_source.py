@@ -5,8 +5,10 @@ import re
 from pathlib import Path
 
 import convlab
+from convlab.constructions import RECIPES
 
 SOURCES = sorted(Path(convlab.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_no_assert_in_package():
@@ -35,7 +37,7 @@ def test_no_recursion_outside_search():
 
 
 def test_readme_tour_runs():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
     assert blocks
     for block in blocks:
@@ -54,3 +56,14 @@ def test_oracle_named_only_in_solver():
             if name == "ck_oracle":
                 found.append(f"{path.name}:{node.lineno}")
     assert SOURCES and all(f.startswith("solver.py:") for f in found) and found, found
+
+
+def test_readme_lists_every_recipe_with_its_parameters():
+    # the recipe table feeds build_recipe and the CLI's choices; the README's
+    # list must name the same recipes and parameters, in the same order
+    def usage(name, keys, defaults):
+        return " ".join([name] + [key if key not in defaults else f"[{key}]" if defaults[key] is None
+                                  else f"[{key}={defaults[key]}]" for key in keys])
+
+    listed = re.findall(r"^- `construct (.+?)`", README.read_text(), re.MULTILINE)
+    assert listed == [usage(name, keys, defaults) for name, (_, keys, defaults) in RECIPES.items()]

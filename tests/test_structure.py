@@ -146,6 +146,14 @@ def test_unit_flow_matches_networkx_on_directed_networks():
         assert _unit_flow(cap, s, t) == nx.maximum_flow_value(nxg, s, t), (cap, s, t)
 
 
+def test_unit_flow_cancels_the_flow_it_pushes_against():
+    # bit w of cap[u] is the arc u -> w.  The maximum 7 -> 1 flow is 4; a
+    # push against flow that leaves the flow in place reuses arcs and gives 5
+    cap = [312, 273, 88, 146, 14, 407, 12, 87, 2]
+    nxg = nx.DiGraph((u, w) for u in range(len(cap)) for w in bits(cap[u]))
+    nx.set_edge_attributes(nxg, 1, "capacity")
+    assert _unit_flow(cap, 7, 1) == nx.maximum_flow_value(nxg, 7, 1) == 4
+
 def test_connectivity_named():
     assert vertex_connectivity(complete_graph(5)) == 4
     assert is_k_connected(complete_graph(4), 3)
