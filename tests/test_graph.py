@@ -73,7 +73,11 @@ def test_induced_subgraph_relabels():
     assert old == [1, 2, 4]
     assert sub.n == 3
     assert sub.edges() == [(0, 1)]  # only 1-2 survives
-    h, old = induced_subgraph(complete_graph(4), vset([1, 2, 3]))
+
+
+def test_remove_vertices():
+    g = complete_graph(4)
+    h, old = induced_subgraph(g, g.full_mask & ~vset([0]))
     assert old == [1, 2, 3] and h.n == 3 and h.edge_count == 3
 
 
