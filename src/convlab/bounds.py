@@ -82,10 +82,6 @@ def lower_bounds(g, k):
     return out
 
 
-def best_lower_bound(g, k):
-    return max(e.integer_value for e in lower_bounds(g, k))
-
-
 def upper_bounds_cubic(g):
     """Upper bounds on the 2-conversion number of a cubic graph of order > 4."""
     if not is_cubic(g):

@@ -111,6 +111,8 @@ def cmd_construct(args):
         if "=" not in item:
             raise ValueError(f"parameter {item!r} is not key=value")
         key, val = item.split("=", 1)
+        if key in params:
+            raise ValueError(f"recipe {args.recipe!r} gets parameter {key!r} more than once")
         params[key] = val
     recipe = Recipe(name=args.recipe, params=params)
     g, seed = build_recipe(recipe)

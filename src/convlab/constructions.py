@@ -69,10 +69,6 @@ def flower_snark(n):
     return build_graph(4 * n, edges)
 
 
-def prism_graph():
-    return build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
-
-
 def heawood_graph():
     edges = [(i, (i + 1) % 14) for i in range(14)]
     edges += [(i, (i + 5) % 14) for i in range(0, 14, 2)]
@@ -104,7 +100,7 @@ def catalog():
     return {
         "k4": complete_graph(4),
         "k33": complete_bipartite(3, 3),
-        "prism": prism_graph(),
+        "prism": generalized_petersen(3, 1),
         "q3": generalized_petersen(4, 1),
         "petersen": generalized_petersen(5, 2),
         "dodecahedron": generalized_petersen(10, 2),

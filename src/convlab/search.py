@@ -34,7 +34,8 @@ The incumbent of each component is a greedy peelable set, improved at the
 root by a seeded local search with a fixed move budget that stops once it
 meets the root upper bound.  On random cubic graphs at k = 2 that bound,
 (n+2)/4 seeds, is almost always the optimum, so the search then ends at its
-root node.
+root node.  The search is one loop over an explicit stack of nodes, so its
+depth is bounded by memory, not by the interpreter's recursion limit.
 """
 
 import random
@@ -243,26 +244,26 @@ def _max_connected(g, r, within):
             slack = excess
     caps = _edge_caps(comp_r)
     r_min, r_max = min(comp_r), max(comp_r)
-    no_excess = -r_max - 1  # below every deg_sub(v) - r[v]
     # cycles only bound the search when no vertex may keep two neighbours
     packing_bound = r_max == 1
     # the first vertex of X peeled has at least `slack` neighbours outside
     # X, all of them reached from the component
     ceiling = reach.bit_count() - slack
-
-    def rec(kept, undecided, packing=None):
-        # packing: cycle-packing size of kept | undecided when the caller
-        # knows it (the keep branch has its parent's vertex set)
-        nonlocal best, best_mask, nodes
+    # depth first over a stack of (kept, undecided, packing): packing is the
+    # cycle-packing size of kept | undecided if known (a keep child's is its parent's)
+    stack = [(0, within, None)]
+    while stack:
+        kept, undecided, packing = stack.pop()
         nodes += 1
         if best >= ceiling:
-            return
+            continue
         root = nodes == 1
         # each pass decides vertices without branching: safe moves, then
         # the keeps the edge bound forces; a pass that forces none branches
         while True:
-            # safe moves: a vertex with at most r[v] neighbours left is
-            # always in some optimal solution; threshold-0 kept vertices block
+            # safe moves: a vertex with at most r[v] neighbours left is always
+            # in some optimal solution; threshold-0 kept vertices block.  The
+            # scan also records the others' degrees in sub and the branching v
             while True:
                 if zero:
                     blocked = 0
@@ -274,9 +275,18 @@ def _max_connected(g, r, within):
                         packing = None
                 sub = kept | undecided
                 moved = 0
-                for v in bits(undecided):
-                    if (adj[v] & sub).bit_count() <= r[v]:
-                        moved |= 1 << v
+                verts, degs = [], []
+                v, v_excess = -1, 0
+                for u in bits(undecided):
+                    d = (adj[u] & sub).bit_count()
+                    excess = d - r[u]
+                    if excess <= 0:
+                        moved |= 1 << u
+                    else:
+                        verts.append(u)
+                        degs.append(d)
+                        if excess > v_excess:
+                            v, v_excess = u, excess
                 kept |= moved
                 undecided &= ~moved
                 # sub is unchanged: only a newly kept threshold-0 vertex can block
@@ -286,23 +296,14 @@ def _max_connected(g, r, within):
                 size = kept.bit_count()
                 if size > best:
                     best, best_mask = size, kept
-                return
+                break
             n_sub = sub.bit_count()
             if n_sub <= best:
-                return
-            # one degree pass: edge count, the undecided vertices' degrees
-            # in sub and the branching vertex
-            deg_sum = 0
+                break
+            # 2 E(sub): the scan's degrees plus the kept vertices'
+            deg_sum = sum(degs)
             for u in bits(kept):
                 deg_sum += (adj[u] & sub).bit_count()
-            degs = []
-            v, v_excess = -1, no_excess
-            for u in bits(undecided):
-                d = (adj[u] & sub).bit_count()
-                degs.append(d)
-                if d - r[u] > v_excess:
-                    v, v_excess = u, d - r[u]
-            deg_sum += sum(degs)
             # removing an undecided u lowers the surplus by at most its
             # decrement deg_sub(u) - r_min: it takes deg_sub(u) edges and
             # lowers the cap by at least r_min; upper leaves out the fewest
@@ -310,23 +311,23 @@ def _max_connected(g, r, within):
             upper = n_sub
             surplus = deg_sum // 2 - caps[n_sub]
             if surplus > 0:
-                degs.sort(reverse=True)
+                ranked = sorted(degs, reverse=True)
                 need = surplus
-                for m, d in enumerate(degs, 1):
+                for m, d in enumerate(ranked, 1):
                     need -= d - r_min
                     if need <= 0:
                         break
                 if need > 0:
-                    return
+                    break
                 upper -= m
                 if upper <= best:
-                    return
+                    break
             if packing_bound:
                 if packing is None:
                     packing = len(greedy_cycle_packing(g, sub))
                 upper = min(upper, n_sub - packing)
                 if upper <= best:
-                    return
+                    break
             if root:
                 # the root, once its bounds are computed: a local search
                 # that meets them ends the search here
@@ -335,31 +336,30 @@ def _max_connected(g, r, within):
                 best_mask = _local_search(g, r, within, best_mask, upper)
                 best = best_mask.bit_count()
                 if best >= upper:
-                    return
+                    break
             # an improving X leaves out at most b undecided vertices, whose
             # decrements must cover the surplus: u is kept unless it fits
             # beside the b - 1 largest others
             b = n_sub - best - 1
-            if surplus <= 0 or b >= len(degs):
-                break
-            spare = sum(degs[:b]) - b * r_min - surplus
-            cut = degs[b - 1] - spare
-            if degs[-1] >= cut:
-                break
-            forced = 0
-            for u in bits(undecided):
-                if (adj[u] & sub).bit_count() < cut:
-                    forced |= 1 << u
-            if degeneracy_peel(g, kept | forced, r):
-                return
-            kept |= forced
-            undecided &= ~forced
-        bit = 1 << v
-        rest = undecided & ~bit
-        rec(kept, rest)
-        # kept peels to empty, so kept | v does too when v can go first
-        if (adj[v] & kept).bit_count() <= r[v] or not degeneracy_peel(g, kept | bit, r):
-            rec(kept | bit, rest, packing)
-
-    rec(0, within)
+            if surplus > 0 and b < len(ranked):
+                spare = sum(ranked[:b]) - b * r_min - surplus
+                cut = ranked[b - 1] - spare
+                if ranked[-1] < cut:
+                    forced = 0
+                    for u, d in zip(verts, degs):
+                        if d < cut:
+                            forced |= 1 << u
+                    if degeneracy_peel(g, kept | forced, r):
+                        break
+                    kept |= forced
+                    undecided &= ~forced
+                    continue
+            # branch on v, removal first: its child goes on top.  kept
+            # peels to empty, so kept | v does too when v can go first
+            bit = 1 << v
+            rest = undecided & ~bit
+            if (adj[v] & kept).bit_count() <= r[v] or not degeneracy_peel(g, kept | bit, r):
+                stack.append((kept | bit, rest, packing))
+            stack.append((kept, rest, None))
+            break
     return best, best_mask, nodes

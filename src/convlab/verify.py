@@ -147,8 +147,8 @@ def suite_join_regular():
 
 
 def suite_extremal_order():
-    """The deficiency-driven construction yields a (k+1)-regular graph of
-    the maximum order 2k+2 converted by k seeds."""
+    """The closed-form extremal construction yields a (k+1)-regular graph
+    of the maximum order 2k+2 converted by k seeds."""
     out = []
     for k in range(2, SEED_LAYER_MAX_K + 1):
         g, seed = extremal_regular(k)

@@ -7,7 +7,6 @@ from convlab.bounds import (
     MEETS_GENERAL_EQUALITY,
     MEETS_STATON_EQUALITY,
     NO_EQUALITY,
-    best_lower_bound,
     equality_certificate,
     lower_bounds,
     upper_bounds_cubic,
@@ -127,7 +126,7 @@ def test_equality_certificate_k4_gap():
     g = complete_graph(4)
     value = ck_oracle(g, 2).value
     assert value == 2 == ceil((4 + 2) / 4)
-    assert value == best_lower_bound(g, 2)
+    assert value == max(e.integer_value for e in lower_bounds(g, 2))
     exact = Fraction(4 + 2, 4)
     assert Fraction(value) != exact
     from itertools import combinations
@@ -170,5 +169,5 @@ def test_certificate_disagreement_raises(monkeypatch):
 
 
 def test_best_lower_bound():
-    assert best_lower_bound(catalog()["petersen"], 2) == 3
-    assert best_lower_bound(catalog()["dodecahedron"], 2) == 6
+    for name, best in (("petersen", 3), ("dodecahedron", 6)):
+        assert max(e.integer_value for e in lower_bounds(catalog()[name], 2)) == best

@@ -118,6 +118,10 @@ def test_construct_parameter_errors_name_recipe_and_parameter(capsys):
     assert main(["construct", "extremal", "--param", "k=3", "--param", "bogus=1"]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: recipe 'extremal' has no parameter 'bogus'")
+    # a repeated key is refused, not silently overridden by its last value
+    assert main(["construct", "extremal", "--param", "k=3", "--param", "k=2"]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: recipe 'extremal' gets parameter 'k' more than once\n")
 
 
 def test_error_exit_codes(capsys):
@@ -125,6 +129,12 @@ def test_error_exit_codes(capsys):
     assert main(["construct", "extremal", "--param", "k"]) == EXIT_ERROR
     assert main(["verify", "no-such-suite"]) == EXIT_ERROR
     capsys.readouterr()
+
+
+def test_catalog_prism_graph6_pin(capsys):
+    # the catalog's prism is GP(3,1); its graph6 may not move
+    assert main(["catalog", "prism", "--format", "graph6"]) == EXIT_PASS
+    assert capsys.readouterr().out == "E{Sw\n"
 
 
 def test_stdin_pipe(capsys, monkeypatch):

@@ -1,7 +1,9 @@
 """The branch-and-bound search: shortest cycles, node-count pins, the
 incumbent and component additivity."""
 
+import inspect
 import random
+import sys
 import time
 
 import pytest
@@ -183,6 +185,19 @@ def test_no_instance_gains_nodes_pins():
         ((30, 1), 1), ((30, 2), 54034), ((30, 3), 500968))]
     for g, k, before in cases:
         assert ck_exact(g, k).nodes_explored <= before
+
+
+def test_search_depth_needs_no_recursion():
+    # the branch and bound is one loop over an explicit stack: a recursion
+    # limit 20 frames above the caller's does not stop it, though the 5x5
+    # grid branches 24 levels deep
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 20)
+    try:
+        res = ck_exact(_grid(5, 5), 2)
+    finally:
+        sys.setrecursionlimit(old)
+    assert (res.value, res.nodes_explored) == (5, 27951)
 
 
 def test_local_search_is_deterministic():

@@ -22,9 +22,8 @@ def test_no_assert_in_package():
 
 
 def test_no_recursion_outside_search():
-    # recursion depth grows with the input and crashes on large graphs;
-    # only the branch and bound's `rec`, whose depth is the branching
-    # depth, may call itself
+    # recursion depth grows with the input and crashes on large graphs; the
+    # branch and bound, the deepest search, runs over an explicit stack
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -33,7 +32,7 @@ def test_no_recursion_outside_search():
                     isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                     and call.func.id == fn.name for call in ast.walk(fn)):
                 found.append(f"{path.name}:{fn.name}")
-    assert SOURCES and found == ["search.py:rec"], found
+    assert SOURCES and found == [], found
 
 
 def test_readme_tour_runs():
