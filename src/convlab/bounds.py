@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
-from .graph import are_isomorphic, vset_members
+from .graph import vset_members
 from .process import is_conversion_set
 from .search import greedy_cycle_packing
 from .structure import (
@@ -23,7 +23,7 @@ from .structure import (
     triangle_free,
 )
 from .graph import induced_subgraph
-from .constructions import catalog_graph, is_tree_gadget_graph
+from .constructions import is_tree_gadget_graph
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,10 @@ def upper_bounds_cubic(g):
     else:
         out.append(_upper("three-eighths", Fraction(3 * n, 8),
                           "Bondy et al.; Liu-Zhao"))
-    if triangle_free(g):
-        g1 = catalog_graph("g1")
-        g2 = catalog_graph("g2")
-        if not (are_isomorphic(g, g1) or are_isomorphic(g, g2)):
-            out.append(_upper("one-third", Fraction(n, 3), "Zheng-Lu"))
+    # the bound's two exceptions, g1 (the Wagner graph) and g2 (the cube),
+    # are the only triangle-free cubic graphs of order 8
+    if triangle_free(g) and n != 8:
+        out.append(_upper("one-third", Fraction(n, 3), "Zheng-Lu"))
     # a cubic graph has a cut vertex iff it has a bridge
     if is_connected(g) and not bridges(g):
         out.append(_upper("two-connected", Fraction(n + 2, 3), "Dross et al."))

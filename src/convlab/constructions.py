@@ -75,8 +75,10 @@ def heawood_graph():
     return build_graph(14, edges)
 
 
-# Two cubic graphs of order 8 and girth 4 that are the exceptions to the
-# n/3 upper bound for triangle-free cubic graphs.
+# The two triangle-free cubic graphs of order 8, both of girth 4: g1 is the
+# Wagner graph C8(1,4) and g2 the cube.  They are the exceptions to the n/3
+# upper bound for triangle-free cubic graphs, which therefore leaves out
+# only order 8.
 _G1_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 4),
              (4, 7), (7, 0), (7, 2), (1, 6), (3, 5)]
 _G2_EDGES = [(7, 0), (0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6),
@@ -325,23 +327,19 @@ def doubled_block(b, u, v):
     """
     if not is_cubic(b):
         raise ConstructionError("block doubling requires a cubic graph")
+    for x in (u, v):
+        if not 0 <= x < b.n:
+            raise ConstructionError(f"vertex {x} is outside 0..{b.n - 1}")
     if not b.has_edge(u, v):
         raise ConstructionError(f"vertices {u} and {v} must be adjacent")
     if b.adj[u] & b.adj[v]:
         raise ConstructionError(f"vertices {u} and {v} must not share a neighbour")
-    keep = [x for x in range(b.n) if x not in (u, v)]
-    index = {x: i for i, x in enumerate(keep)}
-    base_edges = [(index[x], index[y]) for x, y in b.edges() if u not in (x, y) and v not in (x, y)]
-    n1 = len(keep)
-    ea, eb = sorted(w for w in b.neighbors(u) if w != v)
-    ec, ed = sorted(w for w in b.neighbors(v) if w != u)
-    edges = list(base_edges)
-    edges += [(x + n1, y + n1) for x, y in base_edges]
-    edges.append((index[ea], index[ea] + n1))
-    edges.append((index[eb], index[eb] + n1))
-    edges.append((index[ec], index[ed] + n1))
-    edges.append((index[ed], index[ec] + n1))
-    g = build_graph(2 * n1, edges)
+    piece, old_ids = induced_subgraph(b, b.full_mask & ~(1 << u | 1 << v))
+    ea, eb = sorted(old_ids.index(w) for w in b.neighbors(u) if w != v)
+    ec, ed = sorted(old_ids.index(w) for w in b.neighbors(v) if w != u)
+    edges = piece.edges()
+    g = _splice_blocks([(0, 1)] * 4, [(piece.n, edges, [ea, eb, ec, ed]),
+                                      (piece.n, edges, [ea, eb, ed, ec])])
     if not is_cubic(g):
         raise RuntimeError("internal error: doubled block is not cubic")
     return g

@@ -31,25 +31,24 @@ branch and the incumbents peel with the package's one peel,
 incumbent dropping v from a stuck core re-checks only v's neighbours.
 
 The incumbent of each component is a greedy peelable set, improved at the
-root by a seeded local search with a fixed move budget that stops once it
-meets the root upper bound.  On random cubic graphs at k = 2 that bound,
-(n+2)/4 seeds, is almost always the optimum, so the search then ends at its
-root node.  The search is one loop over an explicit stack of nodes, so its
-depth is bounded by memory, not by the interpreter's recursion limit.
+root by a seeded local search with a fixed move budget that takes only moves
+losing no vertex and stops once it meets the root upper bound.  On random
+cubic graphs at k = 2 that bound, (n+2)/4 seeds, is almost always the
+optimum (Bau, Wormald and Zhou), and the walk reaches it on every seed tried
+up to n = 500, so the search then ends at its root node.  The search is one
+loop over an explicit stack of nodes, so its depth is bounded by memory, not
+by the interpreter's recursion limit.
 """
 
 import random
 from heapq import heapify, heappop, heappush
-from math import exp
 
 from .graph import bits, components
 from .structure import _shortest_cycle_root, degeneracy_peel
 
-# The local search's move budget per vertex of a component, its acceptance
-# temperature and its seed: fixed, so node counts and witnesses do not
-# depend on the machine or the run.
+# The local search's move budget per vertex of a component and its seed:
+# fixed, so node counts and witnesses do not depend on the machine or the run.
 MOVES_PER_VERTEX = 10
-LOSS_TEMPERATURE = 0.6
 LOCAL_SEARCH_SEED = 1
 
 
@@ -124,21 +123,20 @@ def _greedy_feasible(g, r, within):
 
 
 def _local_search(g, r, within, x, target):
-    """Largest peelable set seen by a seeded random walk from the peelable
-    set x; stops once it holds ``target`` vertices or after
+    """Grow the peelable set x by a seeded random walk that takes only moves
+    losing no vertex; stops once it holds ``target`` vertices or after
     ``MOVES_PER_VERTEX`` moves per vertex of ``within``.
 
     A move adds a random vertex u of ``within`` outside X, then drops random
     stuck-core vertices other than u until X peels (each core vertex keeps
     a neighbour in the core, so a nonempty core has a vertex other than u).
-    A move that loses d vertices is taken with probability
-    exp(-d / LOSS_TEMPERATURE).  The walk depends only on its arguments.
+    It is taken iff X is no smaller after it, so X never shrinks and the
+    walk returns its last X.  The walk depends only on its arguments.
     """
     adj = g.adj
     rng = random.Random(LOCAL_SEARCH_SEED)
     verts = list(bits(within))
     size = x.bit_count()
-    best, best_size = x, size
     for _ in range(MOVES_PER_VERTEX * len(verts)):
         u = rng.choice(verts)
         while x >> u & 1:
@@ -149,15 +147,11 @@ def _local_search(g, r, within, x, target):
             w = rng.choice([w for w in bits(core) if w != u])
             y &= ~(1 << w)
             core = degeneracy_peel(g, core & ~(1 << w), r, adj[w] & core)
-        loss = size - y.bit_count()
-        if loss > 0 and rng.random() >= exp(-loss / LOSS_TEMPERATURE):
-            continue
-        x, size = y, size - loss
-        if size > best_size:
-            best, best_size = x, size
+        if y.bit_count() >= size:
+            x, size = y, y.bit_count()
             if size >= target:
                 break
-    return best
+    return x
 
 
 def _edge_caps(thresholds):

@@ -327,20 +327,15 @@ def is_r_degenerate(g, x_mask, r):
 
 
 def is_maximal_r_degenerate(h, r):
-    """True iff h is r-degenerate and adding any non-edge breaks that."""
+    """True iff h is r-degenerate and adding any non-edge breaks that.
+
+    By Lick and White, an r-degenerate graph on n vertices has at most
+    sum over j < n of min(r, j) edges (rn - r(r+1)/2 once n > r), and it is
+    maximal exactly when it has that many.
+    """
     if not is_r_degenerate(h, h.full_mask, r):
         raise ValueError("input graph is not r-degenerate")
-    for x in range(h.n):
-        for y in range(x + 1, h.n):
-            if h.has_edge(x, y):
-                continue
-            adj = list(h.adj)
-            adj[x] |= 1 << y
-            adj[y] |= 1 << x
-            h2 = Graph(n=h.n, adj=tuple(adj), edge_count=h.edge_count + 1)
-            if is_r_degenerate(h2, h2.full_mask, r):
-                return False
-    return True
+    return h.edge_count == sum(min(r, j) for j in range(h.n))
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ from convlab.bounds import (
 )
 from convlab.constructions import (catalog, path_replacement, random_regular_graph, small_regular,
                                    tree_gadget_graph, triangle_replace)
-from convlab.graph import build_graph, complete_graph, disjoint_union, path_graph, vset
+from convlab.graph import (are_isomorphic, build_graph, circulant_graph, complete_graph, disjoint_union,
+                           path_graph, vset)
 from convlab.solver import ck_exact, ck_oracle
-from convlab.structure import is_k_connected
+from convlab.structure import is_k_connected, triangle_free
 
 
 def _entry(entries, name):
@@ -93,6 +94,45 @@ def test_upper_bounds_applicability():
     assert "one-third" not in names2  # has triangles
     with pytest.raises(ValueError):
         upper_bounds_cubic(complete_graph(4))
+
+
+def _cubic_graphs_of_order_8():
+    """Every labelled cubic graph on 0..7 with N(0) = {1, 2, 3}: the other
+    nine edges, each vertex joined to higher ones in increasing order."""
+    need = [0, 2, 2, 2, 3, 3, 3, 3]
+    stack = [((), need)]
+    while stack:
+        edges, left = stack.pop()
+        v = next((x for x in range(8) if left[x]), None)
+        if v is None:
+            yield build_graph(8, [(0, 1), (0, 2), (0, 3)] + list(edges))
+            continue
+        last = max((w for x, w in edges if x == v), default=v)
+        for w in range(last + 1, 8):
+            if left[w]:
+                rest = list(left)
+                rest[v] -= 1
+                rest[w] -= 1
+                stack.append((edges + ((v, w),), rest))
+
+
+def test_triangle_free_cubic_graphs_of_order_8_are_g1_and_g2():
+    # upper_bounds_cubic leaves out every triangle-free cubic graph of order
+    # 8 from the n/3 bound, because g1 and g2 are all of them
+    cat = catalog()
+    graphs = list(_cubic_graphs_of_order_8())
+    assert len(graphs) == 553
+    found = set()
+    for g in graphs:
+        if triangle_free(g):
+            matches = [name for name in ("g1", "g2") if are_isomorphic(g, cat[name])]
+            assert len(matches) == 1, g.edges()
+            found.add(matches[0])
+            assert "one-third" not in [e.name for e in upper_bounds_cubic(g)]
+    assert sum(triangle_free(g) for g in graphs) == 96
+    assert found == {"g1", "g2"}
+    assert are_isomorphic(cat["g2"], cat["q3"])
+    assert are_isomorphic(cat["g1"], circulant_graph(8, (1, 4)))
 
 
 def test_two_connected_entry_matches_vertex_connectivity():

@@ -124,6 +124,15 @@ def test_construct_parameter_errors_name_recipe_and_parameter(capsys):
     assert (out, err) == ("", "error: recipe 'extremal' gets parameter 'k' more than once\n")
 
 
+@pytest.mark.parametrize("u, v", [(99, 1), (-1, 4)])
+def test_construct_doubled_rejects_vertices_out_of_range(u, v, capsys):
+    # -1 must not wrap around to vertex 9 by Python's negative indexing
+    args = ["construct", "doubled", "--param", "graph=petersen", "--param", f"u={u}", "--param", f"v={v}"]
+    assert main(args) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: vertex {u} is outside 0..9\n")
+
+
 def test_error_exit_codes(capsys):
     assert main(["solve", "--graph", "no-such-file", "-k", "2"]) == EXIT_ERROR
     assert main(["construct", "extremal", "--param", "k"]) == EXIT_ERROR

@@ -165,6 +165,32 @@ def test_random_cubic_60_node_count_pins(seed):
     assert (res.value, res.nodes_explored) == (-(-(g.n + 2) // 4), 1)
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_random_cubic_200_node_count_pins(seed):
+    # the local search reaches (n+2)/4 = 51 seeds, so the search ends at its root
+    res = ck_exact(random_regular_graph(200, 3, seed=seed), 2)
+    assert (res.value, res.nodes_explored) == (51, 1)
+
+
+def test_random_4_regular_80_node_count_pins():
+    # r = 1 at k = 3: the walk stops one short of the Staton bound, 27 seeds,
+    # which the branch and bound then reaches and proves
+    res = ck_exact(random_regular_graph(80, 4, seed=5), 3)
+    assert (res.value, res.nodes_explored) == (27, 262)
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_local_search_reaches_the_decycling_bound_at_200(seed):
+    # a walk that takes only moves losing no vertex climbs from the greedy
+    # forest to n - (n+2)/4 = 149 vertices within its move budget
+    g = random_regular_graph(200, 3, seed=seed)
+    r = [1] * g.n
+    x = _greedy_feasible(g, r, g.full_mask)
+    assert x.bit_count() < 149
+    y = search._local_search(g, r, g.full_mask, x, 149)
+    assert y.bit_count() == 149 and is_r_degenerate(g, y, 1)
+
+
 def test_no_instance_gains_nodes_pins():
     # a larger incumbent and forced keeps only prune more: none of these
     # may grow past the count the search had with the greedy incumbent

@@ -13,6 +13,7 @@ from convlab.constructions import (
     triangle_replace,
 )
 from convlab.graph import (
+    Graph,
     bits,
     build_graph,
     complete_bipartite,
@@ -247,6 +248,50 @@ def test_degeneracy_peel_matches_sweeps(data):
     for v in bits(core):
         rest = core & ~(1 << v)
         assert degeneracy_peel(g, rest, r, g.adj[v] & core) == reference_degeneracy_peel(g, rest, r)
+
+
+def reference_is_maximal_r_degenerate(h, r):
+    """True iff h is r-degenerate and adding any non-edge breaks that."""
+    if not is_r_degenerate(h, h.full_mask, r):
+        raise ValueError("input graph is not r-degenerate")
+    for x in range(h.n):
+        for y in range(x + 1, h.n):
+            if h.has_edge(x, y):
+                continue
+            adj = list(h.adj)
+            adj[x] |= 1 << y
+            adj[y] |= 1 << x
+            h2 = Graph(n=h.n, adj=tuple(adj), edge_count=h.edge_count + 1)
+            if is_r_degenerate(h2, h2.full_mask, r):
+                return False
+    return True
+
+
+def _random_r_degenerate(rng, n, r):
+    """Each vertex joined to at most r earlier ones; with p = 1 every vertex
+    takes min(r, i) of them, the most an r-degenerate graph can have."""
+    p = rng.choice((0.5, 0.8, 0.95, 1.0))
+    edges = []
+    for i in range(1, n):
+        back = rng.sample(range(i), min(r, i))
+        edges += [(i, j) for j in back if rng.random() < p]
+    # relabel, so the degeneracy order is not the vertex order
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_maximal_r_degenerate_matches_pairwise_reference():
+    rng = random.Random(29)
+    seen = {True: 0, False: 0}
+    for _ in range(2000):
+        n = rng.randrange(0, 15)
+        r = rng.randrange(0, 5)
+        h = _random_r_degenerate(rng, n, r)
+        maximal = reference_is_maximal_r_degenerate(h, r)
+        assert is_maximal_r_degenerate(h, r) == maximal, (h.edges(), r)
+        seen[maximal] += 1
+    assert min(seen.values()) >= 500
 
 
 def test_maximal_r_degenerate():
