@@ -16,13 +16,12 @@ from .graph import (
     circulant_graph,
     complete_bipartite,
     complete_graph,
-    components,
     induced_subgraph,
     is_connected,
     path_graph,
     vset,
 )
-from .structure import bridges, is_cubic, regular_degree
+from .structure import bridge_pieces, is_cubic, regular_degree
 from .process import is_conversion_set
 
 
@@ -387,10 +386,8 @@ def is_tree_gadget_graph(g):
     """
     if not (is_cubic(g) and is_connected(g)):
         return False
-    cut = set(bridges(g))
-    h = build_graph(g.n, [e for e in g.edges() if e not in cut])
-    return all((piece.bit_count(), sum(h.degree(v) for v in bits(piece)) // 2) in ((3, 3), (5, 7))
-               for piece in components(h))
+    return all((piece.bit_count(), sum((g.adj[v] & piece).bit_count() for v in bits(piece)) // 2)
+               in ((3, 3), (5, 7)) for piece in bridge_pieces(g))
 
 
 def small_regular(n, d):
@@ -421,12 +418,16 @@ def random_regular_graph(n, d, seed):
     Pairs the n*d half-edges one at a time, the last remaining one with a
     uniformly chosen other, and starts over at the first loop or repeated
     pair; the accepted graphs are uniform over simple d-regular graphs.
-    Deterministic for a given seed.
+    When 2d > n - 1 it samples the (n-1-d)-regular graph instead and
+    returns its complement: complementing is a bijection between labelled
+    d-regular and (n-1-d)-regular graphs, so the draw stays uniform, and a
+    sparse pairing is simple far more often.  Deterministic for a given seed.
     """
     if n * d % 2 or d >= n or d < 0:
         raise ConstructionError(f"no {d}-regular graph on {n} vertices exists")
+    dense = 2 * d > n - 1
     rng = random.Random(seed)
-    all_stubs = [v for v in range(n) for _ in range(d)]
+    all_stubs = [v for v in range(n) for _ in range(n - 1 - d if dense else d)]
     for _ in range(RANDOM_REGULAR_TRIES):
         stubs = all_stubs.copy()
         edges = set()
@@ -441,6 +442,8 @@ def random_regular_graph(n, d, seed):
                 break
             edges.add(e)
         else:
+            if dense:
+                edges = {(u, v) for u in range(n) for v in range(u + 1, n)} - edges
             return build_graph(n, sorted(edges))
     raise ConstructionError(f"failed to sample a simple {d}-regular graph in {RANDOM_REGULAR_TRIES} tries")
 

@@ -9,6 +9,17 @@ bound, a greedy vertex-disjoint cycle packing when no threshold exceeds 1,
 and a ceiling on each component: the first vertex of X peeled keeps at
 least deg(v) - r(v) neighbours out of X.
 
+The search works on one connected component at a time, from a work list.
+When every threshold on a component is 1, X peels iff it induces a forest,
+and no cycle crosses a bridge, so X is a forest iff its part in each piece
+left after deleting the bridges is one: the pieces' maxima add up (the
+paper's bridge lemma for c_2 of cubic graphs).  A component whose greedy
+incumbent does not already meet its ceiling is then replaced by its pieces
+at its root, which counts as one node.  A piece has no bridge, so it splits
+no further.  With other thresholds the split is wrong: two triangles joined
+by a bridge at k = 2 have thresholds 0 and 1, c_2 = 3, but their pieces add
+up to 2 seeds.
+
 The edge-count bound: a peelable set of q vertices spans at most cap(q) =
 sum over i <= q of min(r_(i), q - i) edges, r_(i) the i-th largest
 threshold (for a uniform r, rq - r(r+1)/2).  At a node with vertex set sub
@@ -44,7 +55,7 @@ import random
 from heapq import heapify, heappop, heappush
 
 from .graph import bits, components
-from .structure import _shortest_cycle_root, degeneracy_peel
+from .structure import _shortest_cycle_root, bridge_pieces, degeneracy_peel
 
 # The local search's move budget per vertex of a component and its seed:
 # fixed, so node counts and witnesses do not depend on the machine or the run.
@@ -190,11 +201,15 @@ def max_r_degenerate_set(g, r, within=None):
     the surplus, and otherwise keeps, before it branches, every undecided
     vertex that no improving set can leave out (bound-driven keep forcing;
     the module docstring gives the rule).  The components of G[within] are
-    solved one by one and their results added up.  Each starts from the
-    greedy incumbent plus a seeded local search of at most MOVES_PER_VERTEX
-    moves per vertex, run at the root only when the greedy set falls short
-    of the root bound and stopped as soon as it meets that bound; node
-    counts and masks do not depend on the machine.
+    solved one by one from a work list and their results added up.  When
+    every threshold on a component is 1 and its greedy incumbent falls
+    short of its ceiling, its root tests for bridges: if it has one, the
+    pieces left after deleting them join the work list in its place, and
+    the root counts as one node.  Each component starts from the greedy
+    incumbent plus a seeded local search of at most MOVES_PER_VERTEX moves
+    per vertex, run at the root only when the greedy set falls short of the
+    root bound and stopped as soon as it meets that bound; node counts and
+    masks do not depend on the machine.
     """
     within = g.full_mask if within is None else within
     g.check_mask(within, "within")
@@ -207,15 +222,20 @@ def max_r_degenerate_set(g, r, within=None):
     elif any(r[v] < 0 for v in bits(within)):
         raise ValueError("thresholds on within must be >= 0")
     size = mask = nodes = 0
-    for comp in components(g, within):
-        c_size, c_mask, c_nodes = _max_connected(g, r, comp)
+    work = components(g, within)
+    while work:
+        c_size, c_mask, c_nodes, pieces = _max_connected(g, r, work.pop())
         size += c_size
         mask |= c_mask
         nodes += c_nodes
+        work += pieces
     return size, mask, nodes
 
 
 def _max_connected(g, r, within):
+    """(size, mask, nodes, pieces) for the connected G[within]: its maximum
+    peelable set, or, when every threshold is 1 and G[within] has a bridge,
+    the pieces left after deleting its bridges, to be solved instead."""
     adj = g.adj
     nodes = 0
     best_mask = _greedy_feasible(g, r, within)
@@ -252,6 +272,12 @@ def _max_connected(g, r, within):
         if best >= ceiling:
             continue
         root = nodes == 1
+        if root and r_min == r_max == 1:
+            # X is a forest and no cycle crosses a bridge: the pieces left
+            # after deleting the bridges add up (the paper's bridge lemma)
+            pieces = bridge_pieces(g, within)
+            if len(pieces) > 1:
+                return 0, 0, nodes, pieces
         # each pass decides vertices without branching: safe moves, then
         # the keeps the edge bound forces; a pass that forces none branches
         while True:
@@ -356,4 +382,4 @@ def _max_connected(g, r, within):
                 stack.append((kept | bit, rest, packing))
             stack.append((kept, rest, None))
             break
-    return best, best_mask, nodes
+    return best, best_mask, nodes, ()

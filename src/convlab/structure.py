@@ -100,21 +100,26 @@ def triangle_free(g):
     return all(not (g.adj[u] & g.adj[v]) for u, v in g.edges())
 
 
-def bridges(g):
-    """All cut edges, found by an iterative lowpoint DFS.
+def bridges(g, mask=None):
+    """All cut edges of G[mask] (default: the whole graph), found by an
+    iterative lowpoint DFS.
 
     Returned as sorted (u, v) pairs with u < v, in ascending order.
     """
+    if mask is None:
+        mask = g.full_mask
+    g.check_mask(mask, "mask")
+    adj = g.adj
     disc = [-1] * g.n
     low = [0] * g.n
     out = []
     timer = 0
-    for root in range(g.n):
+    for root in bits(mask):
         if disc[root] != -1:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        stack = [(root, -1, iter(g.neighbors(root)))]
+        stack = [(root, -1, bits(adj[root] & mask))]
         while stack:
             v, parent, it = stack[-1]
             advanced = False
@@ -122,7 +127,7 @@ def bridges(g):
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, v, iter(g.neighbors(w))))
+                    stack.append((w, v, bits(adj[w] & mask)))
                     advanced = True
                     break
                 if w != parent:
@@ -136,6 +141,31 @@ def bridges(g):
                     if low[v] > disc[p]:
                         out.append((min(p, v), max(p, v)))
     return sorted(out)
+
+
+def bridge_pieces(g, mask=None):
+    """Vertex masks of the pieces of G[mask] left after deleting its
+    bridges (its 2-edge-connected components, single vertices included),
+    in order of their lowest vertex."""
+    if mask is None:
+        mask = g.full_mask
+    cut = {}
+    for u, v in bridges(g, mask):
+        cut[u] = cut.get(u, 0) | 1 << v
+        cut[v] = cut.get(v, 0) | 1 << u
+    out = []
+    left = mask
+    while left:
+        piece = frontier = left & -left
+        while frontier:
+            nxt = 0
+            for u in bits(frontier):
+                nxt |= g.adj[u] & ~cut.get(u, 0)
+            frontier = nxt & left & ~piece
+            piece |= frontier
+        left &= ~piece
+        out.append(piece)
+    return out
 
 
 def _unit_flow(cap, s, t):

@@ -374,6 +374,14 @@ def test_random_regular_uniform_over_labelled_graphs():
     assert 50 < min(counts.values()) and max(counts.values()) < 150  # mean 100
 
 
+@pytest.mark.parametrize("seed", [3, 4])
+def test_random_regular_dense_draws_succeed(seed):
+    # 2d > n - 1: the complement of a 5-regular draw; the direct 6-regular
+    # pairing ran out of restarts on these two seeds
+    g = random_regular_graph(12, 6, seed=seed)
+    assert regular_degree(g) == 6 and g.adj == random_regular_graph(12, 6, seed=seed).adj
+
+
 def test_build_recipe_dispatch():
     g, seed = build_recipe(Recipe("extremal", {"k": "3"}))
     assert g.n == 8 and seed is not None

@@ -1,10 +1,12 @@
 """The branch-and-bound search: shortest cycles, node-count pins, the
-incumbent and component additivity."""
+incumbent, and additivity over components and, at thresholds of 1, over
+bridges."""
 
 import inspect
 import random
 import sys
 import time
+from itertools import combinations
 
 import pytest
 
@@ -18,7 +20,7 @@ from convlab import search
 from convlab.process import run_process
 from convlab.search import _greedy_feasible, max_r_degenerate_set, shortest_cycle
 from convlab.solver import ck_exact
-from convlab.structure import degeneracy_peel, girth, is_r_degenerate
+from convlab.structure import bridge_pieces, degeneracy_peel, girth, is_r_degenerate
 
 
 def reference_shortest_cycle(g, mask):
@@ -191,13 +193,90 @@ def test_local_search_reaches_the_decycling_bound_at_200(seed):
     assert y.bit_count() == 149 and is_r_degenerate(g, y, 1)
 
 
+@pytest.mark.parametrize("m", range(3, 13))
+def test_path_replacement_bridge_split_pins(m):
+    # every threshold is 1 at k = 2: the root splits at the m - 1 bridges,
+    # and each of the m blocks closes at its own root node
+    res = ck_exact(path_replacement(m, 1), 2)
+    assert res.value == 2 * m and res.nodes_explored <= m + 1
+
+
+def test_bridge_split_needs_every_threshold_one():
+    # two triangles joined by a bridge at k = 2: the bridge's ends have
+    # threshold 1, the others 0.  Adding up the two triangles would give
+    # 2 seeds, but a forest through the bridge leaves a threshold-0 vertex
+    # with a neighbour, so c_2 = 3
+    g = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
+    r = [g.degree(v) - 2 for v in range(g.n)]
+    pieces = bridge_pieces(g)
+    assert pieces == [0b111, 0b111000]
+    assert g.n - sum(max_r_degenerate_set(g, r, piece)[0] for piece in pieces) == 2
+    assert ck_exact(g, 2).value == 3
+
+
+def _is_forest(g, mask):
+    """True iff G[mask] has no cycle: union-find over its edges."""
+    root = list(range(g.n))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for u, v in g.edges():
+        if mask >> u & 1 and mask >> v & 1:
+            a, b = find(u), find(v)
+            if a == b:
+                return False
+            root[a] = b
+    return True
+
+
+def _bridged_graph(rng):
+    """Random 2-edge-connected blocks (a cycle plus chords) joined into a
+    tree by bridges, with pendant trees hung on: at most 14 vertices."""
+    edges = []
+    n = 0
+    while n < 10 and (n == 0 or rng.random() < 0.7):
+        size = rng.randrange(3, 6)
+        block = list(range(n, n + size))
+        edges += [(block[i], block[(i + 1) % size]) for i in range(size)]
+        edges += [(u, v) for u in block for v in block
+                  if u + 1 < v and (u, v) != (block[0], block[-1]) and rng.random() < 0.2]
+        if n:
+            edges.append((rng.randrange(n), rng.choice(block)))
+        n += size
+    for v in range(n, n + rng.randrange(0, 15 - n)):
+        edges.append((rng.randrange(v), v))
+        n = v + 1
+    return build_graph(n, edges)
+
+
+def test_forest_number_with_bridges_matches_subset_enumeration():
+    # every threshold 1 on bridged graphs, under masks that cut new bridges
+    # into G[within]: the split search against the largest induced forest
+    # found by enumerating subsets from the largest down
+    rng = random.Random(1409)
+    for trial in range(300):
+        g = _bridged_graph(rng)
+        within = g.full_mask if trial % 3 == 0 else rng.randrange(1 << g.n)
+        verts = list(bits(within))
+        best = next(size for size in range(len(verts), -1, -1)
+                    if any(_is_forest(g, sum(1 << v for v in combo))
+                           for combo in combinations(verts, size)))
+        size, mask, _ = max_r_degenerate_set(g, 1, within)
+        assert size == best == mask.bit_count()
+        assert not mask & ~within and _is_forest(g, mask)
+
+
 def test_no_instance_gains_nodes_pins():
     # a larger incumbent and forced keeps only prune more: none of these
     # may grow past the count the search had with the greedy incumbent
     # alone (the first four) or before the edge bound forced keeps
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     cases = [
-        (tree_gadget_graph(star), 2, 897),
+        (tree_gadget_graph(star), 2, 5),
         (_grid(4, 5), 2, 10232),
         (cycle_replacement(4, 2), 2, 10579),
         (path_replacement(4, 1), 2, 5745),

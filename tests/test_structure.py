@@ -27,6 +27,7 @@ from convlab.structure import (
     CLASS1,
     CLASS2,
     _unit_flow,
+    bridge_pieces,
     bridges,
     chromatic_class,
     cyclic_edge_connectivity_at_least,
@@ -102,6 +103,26 @@ def test_bridges_match_networkx():
         nxg.add_nodes_from(range(g.n))
         expected = sorted((min(u, v), max(u, v)) for u, v in nx.bridges(nxg))
         assert bridges(g) == expected
+
+
+def test_masked_bridges_and_pieces_match_networkx():
+    # the same graphs, each under random vertex masks: bridges of G[mask]
+    # against nx.bridges of the induced subgraph, and the pieces left after
+    # deleting them against the components of what remains
+    rng = random.Random(5)
+    for _ in range(60):
+        g = _random_connected(rng, rng.randrange(2, 16), rng.randrange(0, 8))
+        for mask in (g.full_mask, *(rng.randrange(1 << g.n) for _ in range(4))):
+            nxg = nx.Graph(g.edges()).subgraph(bits(mask)).copy()
+            nxg.add_nodes_from(bits(mask))
+            expected = sorted((min(u, v), max(u, v)) for u, v in nx.bridges(nxg))
+            assert bridges(g, mask) == expected
+            nxg.remove_edges_from(expected)
+            pieces = sorted(vset(c) for c in nx.connected_components(nxg))
+            assert sorted(bridge_pieces(g, mask)) == pieces
+    assert bridge_pieces(path_graph(3), 0) == []
+    with pytest.raises(ValueError):
+        bridges(path_graph(3), 0b1000)
 
 
 def _connectivity_sweep():

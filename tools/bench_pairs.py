@@ -11,7 +11,8 @@ quartiles of the per-run values on each side (statistics.quantiles,
 inclusive), how many pairs the change wins by the metric's direction, and
 the relative change of the medians.  --trace-seed adds one traced run per
 side and workload; --ladder adds exact node counts, values and witnesses
-of the instance ladder below, solved in-process in each checkout.
+of the instance ladder below, solved in-process in each checkout; an
+instance a side does not reach within LADDER_SECONDS records null there.
 Standard library only.
 """
 
@@ -33,8 +34,12 @@ LADDER = {
     "grid4x5": ("grid", (4, 5), 2),
     "grid5x5": ("grid", (5, 5), 2),
     **{f"cycle_replacement({m},2)": ("cycle_replacement", (m, 2), 2) for m in (3, 4, 5)},
-    **{f"path_replacement({m},1)": ("path_replacement", (m, 1), 2) for m in (3, 4, 5)},
+    **{f"path_replacement({m},1)": ("path_replacement", (m, 1), 2) for m in range(3, 13)},
 }
+# each side's ladder run stops after this many seconds; the instances it did
+# not reach record null (without the bridge split, path_replacement(6,1)
+# takes 47 s and m = 7 does not finish)
+LADDER_SECONDS = 120
 
 
 def solve_ladder():
@@ -56,9 +61,15 @@ def solve_ladder():
                           "nodes": res.nodes_explored, "witness": res.witness, "ms": ms}), flush=True)
 
 
-def run(checkout, *args):
-    out = subprocess.run([sys.executable, *args], cwd=checkout, check=True, text=True,
-                         capture_output=True, env={**os.environ, "PYTHONPATH": "src"}).stdout
+def run(checkout, *args, timeout=None):
+    """Output lines of a Python run in the checkout; on timeout, the lines
+    printed before it."""
+    try:
+        out = subprocess.run([sys.executable, *args], cwd=checkout, check=True, text=True,
+                             capture_output=True, env={**os.environ, "PYTHONPATH": "src"},
+                             timeout=timeout).stdout
+    except subprocess.TimeoutExpired as stopped:
+        out = (stopped.stdout or b"").decode()
     return out.strip().splitlines()
 
 
@@ -149,16 +160,22 @@ def main():
     if args.ladder:
         code = (f"import sys; sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r}); "
                 "import bench_pairs; bench_pairs.solve_ladder()")
-        solved = {side: {r["name"]: r for r in map(json.loads, run(path, "-c", code))}
+        solved = {side: {r["name"]: r for r in map(json.loads, run(path, "-c", code,
+                                                                   timeout=LADDER_SECONDS))}
                   for side, path in sides.items()}
-        out["node_counts"] = {name: {
-            "k": solved["change"][name]["k"], "n": solved["change"][name]["n"],
-            "value": solved["change"][name]["value"],
-            "value_equal": solved["parent"][name]["value"] == solved["change"][name]["value"],
-            "nodes": {side: solved[side][name]["nodes"] for side in sides},
-            "witness_equal": solved["parent"][name]["witness"] == solved["change"][name]["witness"],
-            "ms_in_process": {side: round(solved[side][name]["ms"], 2) for side in sides},
-        } for name in LADDER}
+        out["ladder_seconds"] = LADDER_SECONDS
+        out["node_counts"] = {}
+        for name in LADDER:
+            got = {side: solved[side].get(name) for side in sides}
+            parent, change = got["parent"], got["change"]
+            ref = change or parent or {}
+            out["node_counts"][name] = {
+                "k": ref.get("k"), "n": ref.get("n"), "value": ref.get("value"),
+                "value_equal": parent["value"] == change["value"] if parent and change else None,
+                "nodes": {side: r and r["nodes"] for side, r in got.items()},
+                "witness_equal": parent["witness"] == change["witness"] if parent and change else None,
+                "ms_in_process": {side: r and round(r["ms"], 2) for side, r in got.items()},
+            }
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
