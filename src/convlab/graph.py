@@ -8,6 +8,7 @@ graph size we care about.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 
@@ -42,7 +43,12 @@ class Graph:
         return out
 
     def degrees(self):
-        return [a.bit_count() for a in self.adj]
+        """The degree sequence as a tuple, counted on first use."""
+        return self._degrees
+
+    @cached_property
+    def _degrees(self):
+        return tuple(a.bit_count() for a in self.adj)
 
     @property
     def full_mask(self):

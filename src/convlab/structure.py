@@ -13,7 +13,8 @@ max flow behind both vertex and edge connectivity.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import combinations, count, groupby
+from operator import itemgetter
 
 from .graph import Graph, bits, components, is_connected
 
@@ -27,7 +28,7 @@ def regular_degree(g):
         return None
     degs = g.degrees()
     d = degs[0]
-    return d if all(x == d for x in degs) else None
+    return d if degs.count(d) == g.n else None
 
 
 def is_cubic(g):
@@ -230,30 +231,95 @@ def is_k_connected(g, k):
     return g.n > k and vertex_connectivity(g) >= k
 
 
+def _cut_pairs(g, f):
+    """The edge pairs whose deletion disconnects G - f, which must be
+    2-edge-connected, as ((u, v), (x, y)) with u < v and x < y.
+
+    Take a DFS tree of G - f.  A tree edge is covered by the non-tree edges
+    that join its subtree to the rest; each of those joins a vertex below
+    it to one above, so the cover of the edge into v is the XOR over v's
+    subtree of one bit per non-tree edge at each of its two ends.  Two tree
+    edges form a cut iff the same non-tree edges cover them, and a tree
+    edge with a non-tree edge iff that edge alone covers it; two non-tree
+    edges never do, as the tree holds.  Covers are exact bitmasks over the
+    non-tree edges, compared after sorting.
+    """
+    u0, w0 = f
+    adj = list(g.adj)
+    adj[u0] ^= 1 << w0
+    adj[w0] ^= 1 << u0
+    parent = [-1] * g.n
+    order = [0]  # preorder
+    seen = 1
+    stack = [0]
+    while stack:
+        new = adj[stack[-1]] & ~seen
+        if new:
+            w = new.bit_length() - 1
+            parent[w] = stack[-1]
+            seen |= 1 << w
+            order.append(w)
+            stack.append(w)
+        else:
+            stack.pop()
+    cover = [0] * g.n
+    others = []  # the non-tree edges, by bit
+    for u in range(g.n):
+        for v in bits(adj[u] >> u + 1 << u + 1):
+            if parent[v] != u and parent[u] != v:
+                cover[u] ^= 1 << len(others)
+                cover[v] ^= 1 << len(others)
+                others.append((u, v))
+    for v in reversed(order[1:]):  # children before their parents
+        cover[parent[v]] ^= cover[v]
+    tree = sorted((cover[v], min(v, parent[v]), max(v, parent[v])) for v in order[1:])
+    out = [((u, v), others[c.bit_length() - 1]) for c, u, v in tree if c.bit_count() == 1]
+    for _, same in groupby(tree, key=itemgetter(0)):
+        out += combinations([(u, v) for _, u, v in same], 2)
+    return out
+
+
+def _splits_two_cycles(g, cut):
+    """True iff deleting the edges of cut leaves two or more components
+    that hold a cycle."""
+    adj = list(g.adj)
+    for u, v in cut:
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+    h = Graph(n=g.n, adj=tuple(adj), edge_count=g.edge_count - len(cut))
+    core = degeneracy_peel(h, h.full_mask, [1] * h.n)  # the 2-core
+    # a component holds a cycle iff it meets the 2-core
+    return sum(1 for comp in components(h) if comp & core) >= 2
+
+
 def cyclic_edge_connectivity_at_least(g, c):
     """True iff no edge cut of size < c splits g into two parts that each
-    contain a cycle.  Exhaustive cut enumeration; cubic graphs only,
-    guarded to c <= 4 and m <= 200."""
+    contain a cycle.  Cubic graphs only, guarded to c <= 4 and m <= 200.
+
+    In a cubic graph a side S of a cut that holds no cycle is a forest of
+    t trees, so |S| - t of its edges lie inside it and the cut has
+    3|S| - 2(|S| - t) = |S| + 2t >= 3 edges, exactly 3 only when S is one
+    vertex.  So every cut of at most 2 edges leaves a cycle on both sides
+    (a disconnected g has the empty cut): for c <= 3 the answer is edge
+    connectivity >= c.  For c = 4, g also needs no 3-edge cut with a cycle
+    on both sides.  Every 3-edge cut is an edge f with a cut pair of the
+    2-edge-connected G - f (``_cut_pairs``); each is taken from its first
+    edge and kept iff at least two of the components it leaves meet the
+    2-core.  This is O(m (n + m)) bitmask work rather than C(m, 3) cuts.
+    """
     if not is_cubic(g):
         raise ValueError("cyclic edge connectivity check requires a cubic graph")
     if c > 4:
         raise ValueError("only c <= 4 is supported")
     if g.edge_count > 200:
         raise ValueError("size guard exceeded (m > 200)")
-    edges = g.edges()
-    for size in range(c):  # size 0: g itself may hold two cyclic components
-        for cut in combinations(edges, size):
-            adj = list(g.adj)
-            for u, v in cut:
-                adj[u] &= ~(1 << v)
-                adj[v] &= ~(1 << u)
-            h = Graph(n=g.n, adj=tuple(adj), edge_count=g.edge_count - size)
-            comps = components(h)
-            if len(comps) < 2:
-                continue
-            # a component holds a cycle iff it meets the 2-core
-            core = degeneracy_peel(h, h.full_mask, [1] * h.n)
-            if sum(1 for comp in comps if comp & core) >= 2:
+    if edge_connectivity(g) < min(c, 3):
+        return False
+    if c <= 3:
+        return True
+    for f in g.edges():
+        for a, b in _cut_pairs(g, f):
+            if f < a and f < b and _splits_two_cycles(g, (f, a, b)):
                 return False
     return True
 

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -16,6 +17,7 @@ from convlab.graph import (
     Graph,
     bits,
     build_graph,
+    components,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -191,10 +193,51 @@ def test_cubic_vertex_equals_edge_connectivity():
         assert vertex_connectivity(g) == edge_connectivity(g)
 
 
+def reference_cyclic_edge_connectivity_at_least(g, c):
+    """Every cut of fewer than c edges, tried one by one (C(m, < c) cuts)."""
+    edges = g.edges()
+    for size in range(c):  # size 0: g itself may hold two cyclic components
+        for cut in combinations(edges, size):
+            adj = list(g.adj)
+            for u, v in cut:
+                adj[u] &= ~(1 << v)
+                adj[v] &= ~(1 << u)
+            h = Graph(n=g.n, adj=tuple(adj), edge_count=g.edge_count - size)
+            comps = components(h)
+            if len(comps) < 2:
+                continue
+            # a component holds a cycle iff it meets the 2-core
+            core = degeneracy_peel(h, h.full_mask, [1] * h.n)
+            if sum(1 for comp in comps if comp & core) >= 2:
+                return False
+    return True
+
+
+def _cubic_cross_check_graphs():
+    small = [random_regular_graph(n, 3, seed=s) for n in range(4, 21, 2) for s in range(1, 5)]
+    yield from small
+    yield from (triangle_replace(g) for g in (complete_graph(4), complete_bipartite(3, 3),
+                                             generalized_petersen(4, 1), catalog()["petersen"]))
+    yield from (disjoint_union(small[i], small[j]) for i, j in ((0, 0), (0, 9), (5, 13), (12, 20)))
+    yield from (path_replacement(m, 1) for m in (2, 3))
+    yield from (generalized_petersen(m, k) for m in range(3, 12) for k in range(1, (m + 1) // 2))
+
+
+def test_cyclic_connectivity_matches_cut_enumeration():
+    for g in _cubic_cross_check_graphs():
+        for c in range(5):
+            assert (cyclic_edge_connectivity_at_least(g, c)
+                    == reference_cyclic_edge_connectivity_at_least(g, c)), (g.edges(), c)
+
+
 def test_cyclic_connectivity():
     assert cyclic_edge_connectivity_at_least(catalog()["petersen"], 4)
     assert cyclic_edge_connectivity_at_least(catalog()["dodecahedron"], 4)
     assert not cyclic_edge_connectivity_at_least(triangle_replace(complete_graph(4)), 4)
+    prism = generalized_petersen(3, 1)  # the rungs cut its two triangles apart
+    assert cyclic_edge_connectivity_at_least(prism, 3)
+    assert not cyclic_edge_connectivity_at_least(prism, 4)
+    assert cyclic_edge_connectivity_at_least(complete_bipartite(3, 3), 4)
     two_k4 = disjoint_union(complete_graph(4), complete_graph(4))  # the empty cut splits it
     assert not cyclic_edge_connectivity_at_least(two_k4, 1)
     assert not cyclic_edge_connectivity_at_least(two_k4, 2)
@@ -202,6 +245,15 @@ def test_cyclic_connectivity():
         cyclic_edge_connectivity_at_least(complete_graph(5), 4)
     with pytest.raises(ValueError, match="c <= 4"):
         cyclic_edge_connectivity_at_least(catalog()["petersen"], 5)
+
+
+def test_cyclic_connectivity_at_the_size_guard():
+    big_prism = generalized_petersen(66, 1)
+    assert big_prism.edge_count == 198
+    assert cyclic_edge_connectivity_at_least(big_prism, 4)
+    assert cyclic_edge_connectivity_at_least(random_regular_graph(132, 3, seed=5), 4)
+    with pytest.raises(ValueError, match="m > 200"):
+        cyclic_edge_connectivity_at_least(generalized_petersen(67, 1), 4)
 
 
 def test_chromatic_class_known():
