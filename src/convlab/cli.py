@@ -9,7 +9,6 @@ Exit codes: 0 pass, 1 fail, 2 error.
 import argparse
 import json
 import sys
-from functools import cache
 
 from .bounds import lower_bounds, upper_bounds_cubic
 from .constructions import RECIPES, Recipe, build_recipe, catalog
@@ -238,11 +237,9 @@ def build_parser():
     return parser
 
 
-_parser = cache(build_parser)  # built on the first main call, then reused
-
-
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # a crash is an error (2), never a "fail" (1)

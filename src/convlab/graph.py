@@ -8,7 +8,6 @@ graph size we care about.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 
@@ -43,12 +42,7 @@ class Graph:
         return out
 
     def degrees(self):
-        """The degree sequence as a tuple, counted on first use."""
-        return self._degrees
-
-    @cached_property
-    def _degrees(self):
-        return tuple(a.bit_count() for a in self.adj)
+        return [a.bit_count() for a in self.adj]
 
     @property
     def full_mask(self):

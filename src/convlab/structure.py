@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, count, groupby
 from operator import itemgetter
 
-from .graph import Graph, bits, components, is_connected
+from .graph import bits, is_connected
 
 CLASS1 = "Class1"
 CLASS2 = "Class2"
@@ -232,17 +232,19 @@ def is_k_connected(g, k):
 
 
 def _cut_pairs(g, f):
-    """The edge pairs whose deletion disconnects G - f, which must be
-    2-edge-connected, as ((u, v), (x, y)) with u < v and x < y.
+    """The edge pairs whose deletion disconnects G - f, as ((u, v), (x, y))
+    with u < v and x < y, or None when G - f is not 2-edge-connected.
 
     Take a DFS tree of G - f.  A tree edge is covered by the non-tree edges
     that join its subtree to the rest; each of those joins a vertex below
     it to one above, so the cover of the edge into v is the XOR over v's
-    subtree of one bit per non-tree edge at each of its two ends.  Two tree
-    edges form a cut iff the same non-tree edges cover them, and a tree
-    edge with a non-tree edge iff that edge alone covers it; two non-tree
-    edges never do, as the tree holds.  Covers are exact bitmasks over the
-    non-tree edges, compared after sorting.
+    subtree of one bit per non-tree edge at each of its two ends.  G - f is
+    2-edge-connected iff the tree spans it and no tree edge has an empty
+    cover (a bridge).  Then two tree edges form a cut iff the same non-tree
+    edges cover them, and a tree edge with a non-tree edge iff that edge
+    alone covers it; two non-tree edges never do, as the tree holds.
+    Covers are exact bitmasks over the non-tree edges, compared after
+    sorting.
     """
     u0, w0 = f
     adj = list(g.adj)
@@ -262,6 +264,8 @@ def _cut_pairs(g, f):
             stack.append(w)
         else:
             stack.pop()
+    if seen != g.full_mask:
+        return None
     cover = [0] * g.n
     others = []  # the non-tree edges, by bit
     for u in range(g.n):
@@ -273,23 +277,12 @@ def _cut_pairs(g, f):
     for v in reversed(order[1:]):  # children before their parents
         cover[parent[v]] ^= cover[v]
     tree = sorted((cover[v], min(v, parent[v]), max(v, parent[v])) for v in order[1:])
+    if tree[0][0] == 0:
+        return None
     out = [((u, v), others[c.bit_length() - 1]) for c, u, v in tree if c.bit_count() == 1]
     for _, same in groupby(tree, key=itemgetter(0)):
         out += combinations([(u, v) for _, u, v in same], 2)
     return out
-
-
-def _splits_two_cycles(g, cut):
-    """True iff deleting the edges of cut leaves two or more components
-    that hold a cycle."""
-    adj = list(g.adj)
-    for u, v in cut:
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-    h = Graph(n=g.n, adj=tuple(adj), edge_count=g.edge_count - len(cut))
-    core = degeneracy_peel(h, h.full_mask, [1] * h.n)  # the 2-core
-    # a component holds a cycle iff it meets the 2-core
-    return sum(1 for comp in components(h) if comp & core) >= 2
 
 
 def cyclic_edge_connectivity_at_least(g, c):
@@ -301,11 +294,15 @@ def cyclic_edge_connectivity_at_least(g, c):
     3|S| - 2(|S| - t) = |S| + 2t >= 3 edges, exactly 3 only when S is one
     vertex.  So every cut of at most 2 edges leaves a cycle on both sides
     (a disconnected g has the empty cut): for c <= 3 the answer is edge
-    connectivity >= c.  For c = 4, g also needs no 3-edge cut with a cycle
-    on both sides.  Every 3-edge cut is an edge f with a cut pair of the
-    2-edge-connected G - f (``_cut_pairs``); each is taken from its first
-    edge and kept iff at least two of the components it leaves meet the
-    2-core.  This is O(m (n + m)) bitmask work rather than C(m, 3) cuts.
+    connectivity >= c.  That is connectivity for c = 1, no bridge as well
+    for c = 2, and for c >= 3 a 2-edge-connected G - f for every edge f
+    (``_cut_pairs`` returns None otherwise), so no flow is run.  For c = 4,
+    g also needs no 3-edge cut with a cycle on both sides.  Every 3-edge
+    cut is an edge f with a cut pair of G - f, taken from its first edge.
+    With edge connectivity 3 it leaves exactly two sides, and by the count
+    above one of them has no cycle iff it is a single vertex, that is, iff
+    the three edges meet at one vertex.  This is O(m (n + m)) bitmask work
+    rather than C(m, 3) cuts.
     """
     if not is_cubic(g):
         raise ValueError("cyclic edge connectivity check requires a cubic graph")
@@ -313,14 +310,14 @@ def cyclic_edge_connectivity_at_least(g, c):
         raise ValueError("only c <= 4 is supported")
     if g.edge_count > 200:
         raise ValueError("size guard exceeded (m > 200)")
-    if edge_connectivity(g) < min(c, 3):
-        return False
-    if c <= 3:
-        return True
+    if c <= 2:
+        return c == 0 or is_connected(g) and (c == 1 or not bridges(g))
     for f in g.edges():
-        for a, b in _cut_pairs(g, f):
-            if f < a and f < b and _splits_two_cycles(g, (f, a, b)):
-                return False
+        pairs = _cut_pairs(g, f)
+        if pairs is None:  # g has a cut of at most 2 edges
+            return False
+        if c == 4 and any(f < a and f < b and not set(f) & set(a) & set(b) for a, b in pairs):
+            return False
     return True
 
 

@@ -124,16 +124,6 @@ def test_construct_parameter_errors_name_recipe_and_parameter(capsys):
     assert (out, err) == ("", "error: recipe 'extremal' gets parameter 'k' more than once\n")
 
 
-def test_construct_calls_in_a_row_share_no_parameters(capsys):
-    # build_parser is cached, so both calls parse with one parser
-    assert main(["construct", "random-regular", "--param", "n=10", "--param", "d=3",
-                 "--param", "seed=7", "--format", "graph6"]) == EXIT_PASS
-    assert main(["construct", "extremal", "--param", "k=4", "--format", "graph6"]) == EXIT_PASS
-    assert capsys.readouterr().out == "I_KUAWsg_\nI?~vUiq[W\n"
-    assert main(["construct", "extremal", "--param", "k=3", "--param", "k=2"]) == EXIT_ERROR
-    assert "gets parameter 'k' more than once" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("u, v", [(99, 1), (-1, 4)])
 def test_construct_doubled_rejects_vertices_out_of_range(u, v, capsys):
     # -1 must not wrap around to vertex 9 by Python's negative indexing
