@@ -45,10 +45,6 @@ def forest_number(g):
     return size
 
 
-def decycling_number(g):
-    return g.n - forest_number(g)
-
-
 def ck_oracle(g, k, guard=ORACLE_GUARD):
     """Brute force: smallest conversion set by increasing subset size.
 

@@ -9,7 +9,9 @@ feasibility checks; with a uniform r = 1 it finds the 2-core, which is
 empty iff the set induces a forest.
 
 ``_unit_flow``, unit-capacity augmenting paths on bitmask rows, is the one
-max flow behind both vertex and edge connectivity.
+max flow behind both vertex and edge connectivity.  ``_tree_covers``, a DFS
+forest whose tree edges carry exact bitmask covers, is the one small-edge-cut
+finder: bridges, bridge pieces and the cut pairs of the cyclic check.
 """
 
 from dataclasses import dataclass
@@ -101,72 +103,88 @@ def triangle_free(g):
     return all(not (g.adj[u] & g.adj[v]) for u, v in g.edges())
 
 
+def _tree_covers(adj, mask):
+    """DFS forest of the graph on mask with rows adj, as (parent, order,
+    cover, others).
+
+    ``order`` lists mask's vertices in preorder, each tree rooted at its
+    lowest vertex, and ``parent[v]`` is -1 at a root.  ``others`` lists the
+    non-tree edges (u, v), u < v.  The tree edge into v is covered by the
+    non-tree edges that join v's subtree to the rest; each of those joins
+    a vertex to one of its ancestors, so ``cover[v]``, that set as a
+    bitmask over ``others``, is the XOR over v's subtree of one bit per
+    non-tree edge at each of its two ends (0 at a root).  A tree edge is a
+    bridge iff its cover is empty.  The covers take n (m - n + 1) bits on
+    a connected graph.
+    """
+    parent = [-1] * len(adj)
+    order = []
+    unseen = mask
+    while unseen:
+        root = (unseen & -unseen).bit_length() - 1
+        unseen ^= 1 << root
+        order.append(root)
+        stack = [root]
+        while stack:
+            new = adj[stack[-1]] & unseen
+            if new:
+                w = new.bit_length() - 1
+                parent[w] = stack[-1]
+                unseen ^= 1 << w
+                order.append(w)
+                stack.append(w)
+            else:
+                stack.pop()
+    cover = [0] * len(adj)
+    others = []
+    for u in bits(mask):
+        for v in bits(adj[u] & mask >> u + 1 << u + 1):
+            if parent[v] != u and parent[u] != v:
+                cover[u] ^= 1 << len(others)
+                cover[v] ^= 1 << len(others)
+                others.append((u, v))
+    for v in reversed(order):  # children before their parents
+        if parent[v] >= 0:
+            cover[parent[v]] ^= cover[v]
+    return parent, order, cover, others
+
+
 def bridges(g, mask=None):
-    """All cut edges of G[mask] (default: the whole graph), found by an
-    iterative lowpoint DFS.
+    """All cut edges of G[mask] (default: the whole graph): the tree edges
+    of ``_tree_covers`` with an empty cover.
 
     Returned as sorted (u, v) pairs with u < v, in ascending order.
     """
     if mask is None:
         mask = g.full_mask
     g.check_mask(mask, "mask")
-    adj = g.adj
-    disc = [-1] * g.n
-    low = [0] * g.n
-    out = []
-    timer = 0
-    for root in bits(mask):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, -1, bits(adj[root] & mask))]
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, bits(adj[w] & mask)))
-                    advanced = True
-                    break
-                if w != parent:
-                    low[v] = min(low[v], disc[w])
-                # w == parent occurs exactly once in a simple graph: skip it
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if low[v] > disc[p]:
-                        out.append((min(p, v), max(p, v)))
-    return sorted(out)
+    parent, order, cover, _ = _tree_covers(g.adj, mask)
+    return sorted((min(v, parent[v]), max(v, parent[v]))
+                  for v in order if parent[v] >= 0 and not cover[v])
 
 
 def bridge_pieces(g, mask=None):
     """Vertex masks of the pieces of G[mask] left after deleting its
     bridges (its 2-edge-connected components, single vertices included),
-    in order of their lowest vertex."""
+    in order of their lowest vertex.
+
+    In the preorder of ``_tree_covers`` each vertex joins its parent's
+    piece unless it is a root or the tree edge to its parent is a bridge.
+    """
     if mask is None:
         mask = g.full_mask
-    cut = {}
-    for u, v in bridges(g, mask):
-        cut[u] = cut.get(u, 0) | 1 << v
-        cut[v] = cut.get(v, 0) | 1 << u
+    g.check_mask(mask, "mask")
+    parent, order, cover, _ = _tree_covers(g.adj, mask)
+    piece = [0] * g.n  # index into out
     out = []
-    left = mask
-    while left:
-        piece = frontier = left & -left
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= g.adj[u] & ~cut.get(u, 0)
-            frontier = nxt & left & ~piece
-            piece |= frontier
-        left &= ~piece
-        out.append(piece)
-    return out
+    for v in order:
+        if parent[v] < 0 or not cover[v]:
+            piece[v] = len(out)
+            out.append(0)
+        else:
+            piece[v] = piece[parent[v]]
+        out[piece[v]] |= 1 << v
+    return sorted(out, key=lambda p: p & -p)
 
 
 def _unit_flow(cap, s, t):
@@ -235,10 +253,7 @@ def _cut_pairs(g, f):
     """The edge pairs whose deletion disconnects G - f, as ((u, v), (x, y))
     with u < v and x < y, or None when G - f is not 2-edge-connected.
 
-    Take a DFS tree of G - f.  A tree edge is covered by the non-tree edges
-    that join its subtree to the rest; each of those joins a vertex below
-    it to one above, so the cover of the edge into v is the XOR over v's
-    subtree of one bit per non-tree edge at each of its two ends.  G - f is
+    Take the ``_tree_covers`` DFS tree of G - f.  G - f is
     2-edge-connected iff the tree spans it and no tree edge has an empty
     cover (a bridge).  Then two tree edges form a cut iff the same non-tree
     edges cover them, and a tree edge with a non-tree edge iff that edge
@@ -250,32 +265,9 @@ def _cut_pairs(g, f):
     adj = list(g.adj)
     adj[u0] ^= 1 << w0
     adj[w0] ^= 1 << u0
-    parent = [-1] * g.n
-    order = [0]  # preorder
-    seen = 1
-    stack = [0]
-    while stack:
-        new = adj[stack[-1]] & ~seen
-        if new:
-            w = new.bit_length() - 1
-            parent[w] = stack[-1]
-            seen |= 1 << w
-            order.append(w)
-            stack.append(w)
-        else:
-            stack.pop()
-    if seen != g.full_mask:
+    parent, order, cover, others = _tree_covers(adj, g.full_mask)
+    if parent.count(-1) > 1:  # more than one tree: G - f is disconnected
         return None
-    cover = [0] * g.n
-    others = []  # the non-tree edges, by bit
-    for u in range(g.n):
-        for v in bits(adj[u] >> u + 1 << u + 1):
-            if parent[v] != u and parent[u] != v:
-                cover[u] ^= 1 << len(others)
-                cover[v] ^= 1 << len(others)
-                others.append((u, v))
-    for v in reversed(order[1:]):  # children before their parents
-        cover[parent[v]] ^= cover[v]
     tree = sorted((cover[v], min(v, parent[v]), max(v, parent[v])) for v in order[1:])
     if tree[0][0] == 0:
         return None
@@ -311,7 +303,7 @@ def cyclic_edge_connectivity_at_least(g, c):
     if g.edge_count > 200:
         raise ValueError("size guard exceeded (m > 200)")
     if c <= 2:
-        return c == 0 or is_connected(g) and (c == 1 or not bridges(g))
+        return c <= 0 or is_connected(g) and (c == 1 or not bridges(g))
     for f in g.edges():
         pairs = _cut_pairs(g, f)
         if pairs is None:  # g has a cut of at most 2 edges

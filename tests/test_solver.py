@@ -19,7 +19,6 @@ from convlab.solver import (
     OracleGuardExceeded,
     ck_exact,
     ck_oracle,
-    decycling_number,
     forest_number,
     independence_number,
     verify_witness,
@@ -114,11 +113,12 @@ def test_forest_and_decycling_numbers():
     assert forest_number(path_graph(6)) == 6
     assert forest_number(complete_graph(4)) == 2
     assert forest_number(catalog()["petersen"]) == 7
-    assert decycling_number(catalog()["petersen"]) == 3
+    g = catalog()["petersen"]
+    assert g.n - forest_number(g) == 3  # the decycling number
     # cubic: threshold-2 conversion = decycling
     for name in ("petersen", "q3", "prism", "g1"):
         g = catalog()[name]
-        assert ck_exact(g, 2).value == decycling_number(g)
+        assert ck_exact(g, 2).value == g.n - forest_number(g)
 
 
 def test_verify_witness_confirms_minimality():

@@ -120,11 +120,14 @@ def test_masked_bridges_and_pieces_match_networkx():
             expected = sorted((min(u, v), max(u, v)) for u, v in nx.bridges(nxg))
             assert bridges(g, mask) == expected
             nxg.remove_edges_from(expected)
-            pieces = sorted(vset(c) for c in nx.connected_components(nxg))
-            assert sorted(bridge_pieces(g, mask)) == pieces
+            # in order of their lowest vertex, as documented
+            pieces = [vset(c) for c in sorted(nx.connected_components(nxg), key=min)]
+            assert bridge_pieces(g, mask) == pieces
     assert bridge_pieces(path_graph(3), 0) == []
     with pytest.raises(ValueError):
         bridges(path_graph(3), 0b1000)
+    with pytest.raises(ValueError):
+        bridge_pieces(path_graph(3), 0b1000)
 
 
 def _connectivity_sweep():
@@ -225,7 +228,7 @@ def _cubic_cross_check_graphs():
 
 def test_cyclic_connectivity_matches_cut_enumeration():
     for g in _cubic_cross_check_graphs():
-        for c in range(5):
+        for c in range(-1, 5):
             assert (cyclic_edge_connectivity_at_least(g, c)
                     == reference_cyclic_edge_connectivity_at_least(g, c)), (g.edges(), c)
 
@@ -239,6 +242,8 @@ def test_cyclic_connectivity():
     assert not cyclic_edge_connectivity_at_least(prism, 4)
     assert cyclic_edge_connectivity_at_least(complete_bipartite(3, 3), 4)
     two_k4 = disjoint_union(complete_graph(4), complete_graph(4))  # the empty cut splits it
+    assert cyclic_edge_connectivity_at_least(two_k4, 0)
+    assert cyclic_edge_connectivity_at_least(two_k4, -1)  # no cut has fewer than 0 edges
     assert not cyclic_edge_connectivity_at_least(two_k4, 1)
     assert not cyclic_edge_connectivity_at_least(two_k4, 2)
     with pytest.raises(ValueError, match="cubic"):
