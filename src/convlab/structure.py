@@ -253,13 +253,12 @@ def _cut_pairs(g, f):
     """The edge pairs whose deletion disconnects G - f, as ((u, v), (x, y))
     with u < v and x < y, or None when G - f is not 2-edge-connected.
 
-    Take the ``_tree_covers`` DFS tree of G - f.  G - f is
-    2-edge-connected iff the tree spans it and no tree edge has an empty
-    cover (a bridge).  Then two tree edges form a cut iff the same non-tree
-    edges cover them, and a tree edge with a non-tree edge iff that edge
-    alone covers it; two non-tree edges never do, as the tree holds.
-    Covers are exact bitmasks over the non-tree edges, compared after
-    sorting.
+    Take the ``_tree_covers`` DFS tree of G - f.  G - f is 2-edge-connected
+    iff the tree spans it and no tree edge has an empty cover (a bridge).
+    Then two tree edges form a cut iff the same non-tree edges cover them,
+    and a tree edge with a non-tree edge iff that edge alone covers it; two
+    non-tree edges never do, as the tree holds.  Covers are exact bitmasks
+    over the non-tree edges, compared after sorting.
     """
     u0, w0 = f
     adj = list(g.adj)
