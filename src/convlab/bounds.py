@@ -122,6 +122,7 @@ def equality_certificate(g, k, s_mask):
     d = regular_degree(g)
     if d is None or not (k + 1 <= d < 2 * k):
         raise ValueError("equality analysis requires a (k+r)-regular graph with 1 <= r < k")
+    s_mask = g.vertex_set(s_mask, "seed")
     if not is_conversion_set(g, s_mask, k):
         raise ValueError("the given set does not convert the graph")
     r = d - k

@@ -48,10 +48,14 @@ class Graph:
     def full_mask(self):
         return (1 << self.n) - 1
 
-    def check_mask(self, mask, name):
-        """Raise ValueError if the vertex-set bitmask has a bit outside 0..n-1."""
+    def vertex_set(self, mask=None, name="mask"):
+        """The vertex-set bitmask ``mask``, every vertex for None; a bit
+        outside 0..n-1 raises ValueError naming the argument ``name``."""
+        if mask is None:
+            return self.full_mask
         if mask & ~self.full_mask:
             raise ValueError(f"{name} names vertices outside 0..{self.n - 1}")
+        return mask
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -133,6 +137,7 @@ def induced_subgraph(g, mask):
     Returns (subgraph, old_ids) where old_ids[i] is the original id of the
     subgraph's vertex i (ascending order).
     """
+    mask = g.vertex_set(mask)
     old_ids = vset_members(mask)
     index = {v: i for i, v in enumerate(old_ids)}
     edges = []
@@ -150,8 +155,7 @@ def disjoint_union(g, h):
 
 def components(g, mask=None):
     """Connected components (as bitmasks) of the subgraph induced by mask."""
-    if mask is None:
-        mask = g.full_mask
+    mask = g.vertex_set(mask)
     seen = 0
     out = []
     for v in bits(mask):
@@ -171,11 +175,7 @@ def components(g, mask=None):
 
 
 def is_connected(g, mask=None):
-    if mask is None:
-        mask = g.full_mask
-    if mask == 0:
-        return True
-    return len(components(g, mask)) == 1
+    return len(components(g, mask)) <= 1
 
 
 def are_isomorphic(g, h):

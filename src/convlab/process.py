@@ -54,7 +54,7 @@ def run_process(g, seed_mask, k):
     """
     if k < 1:
         raise ValueError("threshold k must be >= 1")
-    g.check_mask(seed_mask, "seed")
+    seed_mask = g.vertex_set(seed_mask, "seed")
     layers = [seed_mask]
     converted = seed_mask
     full = g.full_mask
@@ -88,6 +88,7 @@ def is_conversion_set(g, seed_mask, k):
 def is_k_immune(g, u_mask, k):
     """True iff every vertex of the set has fewer than k outside neighbours,
     that is, no vertex of it can be peeled."""
+    u_mask = g.vertex_set(u_mask, "u_mask")
     if u_mask == 0:
         raise ValueError("a k-immune set must be nonempty")
     return residual_core(g, u_mask, k) == u_mask
@@ -100,8 +101,7 @@ def residual_core(g, x_mask, k):
     """
     if k < 1:
         raise ValueError("threshold k must be >= 1")
-    g.check_mask(x_mask, "x_mask")
-    return degeneracy_peel(g, x_mask, [d - k for d in g.degrees()])
+    return degeneracy_peel(g, g.vertex_set(x_mask, "x_mask"), [d - k for d in g.degrees()])
 
 
 def contains_k_immune_set(g, x_mask, k):
@@ -124,6 +124,7 @@ def characterization_check(g, s_mask, k):
     (r = 0: independent complement; r = 1: forest complement).  The two
     verdicts must agree whenever both are defined.
     """
+    s_mask = g.vertex_set(s_mask, "seed")
     simulated = is_conversion_set(g, s_mask, k)
     d = regular_degree(g)
     if d is None or d < k:

@@ -69,7 +69,7 @@ def shortest_cycle(g, mask):
     The girth scan names the lowest vertex on a shortest cycle; a BFS from
     it returns the first cycle of that length it closes.
     """
-    length, root, core = _shortest_cycle_root(g, mask)
+    length, root, core = _shortest_cycle_root(g, g.vertex_set(mask))
     if length is None:
         return 0
     dist = {root: 0}
@@ -100,7 +100,7 @@ def greedy_cycle_packing(g, mask=None):
     Returns the list of cycle masks; its length is a valid lower bound on
     the number of vertices any decycling set must contain.
     """
-    cur = g.full_mask if mask is None else mask
+    cur = g.vertex_set(mask)
     packing = []
     while True:
         cyc = shortest_cycle(g, cur)
@@ -211,8 +211,7 @@ def max_r_degenerate_set(g, r, within=None):
     root bound and stopped as soon as it meets that bound; node counts and
     masks do not depend on the machine.
     """
-    within = g.full_mask if within is None else within
-    g.check_mask(within, "within")
+    within = g.vertex_set(within, "within")
     if isinstance(r, int):
         if r < 0:
             raise ValueError("r must be >= 0")

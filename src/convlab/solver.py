@@ -45,15 +45,15 @@ def forest_number(g):
     return size
 
 
-def ck_oracle(g, k, guard=ORACLE_GUARD):
+def ck_oracle(g, k):
     """Brute force: smallest conversion set by increasing subset size.
 
     The witness is the lexicographically least minimum (combinations are
     generated in lexicographic order).  Guarded by vertex count; tests use
     it to cross-check ck_exact.
     """
-    if g.n > guard:
-        raise OracleGuardExceeded(f"oracle guard exceeded: n={g.n} > {guard}")
+    if g.n > ORACLE_GUARD:
+        raise OracleGuardExceeded(f"oracle guard exceeded: n={g.n} > {ORACLE_GUARD}")
     start = time.perf_counter()
     tried = 0
     for size in range(g.n + 1):

@@ -93,10 +93,7 @@ def _shortest_cycle_root(g, mask):
 def girth(g, mask=None):
     """Length of a shortest cycle in the subgraph induced by mask, or None
     if it is a forest."""
-    if mask is None:
-        mask = g.full_mask
-    g.check_mask(mask, "mask")
-    return _shortest_cycle_root(g, mask)[0]
+    return _shortest_cycle_root(g, g.vertex_set(mask))[0]
 
 
 def triangle_free(g):
@@ -155,9 +152,7 @@ def bridges(g, mask=None):
 
     Returned as sorted (u, v) pairs with u < v, in ascending order.
     """
-    if mask is None:
-        mask = g.full_mask
-    g.check_mask(mask, "mask")
+    mask = g.vertex_set(mask)
     parent, order, cover, _ = _tree_covers(g.adj, mask)
     return sorted((min(v, parent[v]), max(v, parent[v]))
                   for v in order if parent[v] >= 0 and not cover[v])
@@ -171,9 +166,7 @@ def bridge_pieces(g, mask=None):
     In the preorder of ``_tree_covers`` each vertex joins its parent's
     piece unless it is a root or the tree edge to its parent is a bridge.
     """
-    if mask is None:
-        mask = g.full_mask
-    g.check_mask(mask, "mask")
+    mask = g.vertex_set(mask)
     parent, order, cover, _ = _tree_covers(g.adj, mask)
     piece = [0] * g.n  # index into out
     out = []
@@ -389,6 +382,10 @@ def degeneracy_peel(g, mask, r, check=None):
     neighbours in ``mask``.  Only neighbours of a peeled vertex are
     re-checked, an O(n + m) worklist; the core does not depend on the
     order, so it is the same for every valid ``check``.
+
+    ``mask`` must already be a vertex set of g, and it is not checked:
+    this is the search's inner loop (thousands of calls per solve), and
+    every caller passes a set ``Graph.vertex_set`` checked, or a subset.
     """
     adj = g.adj
     core = mask
@@ -406,8 +403,7 @@ def is_r_degenerate(g, x_mask, r):
     """True iff G[x_mask] peels to empty at the uniform threshold r."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    g.check_mask(x_mask, "x_mask")
-    return not degeneracy_peel(g, x_mask, [r] * g.n)
+    return not degeneracy_peel(g, g.vertex_set(x_mask, "x_mask"), [r] * g.n)
 
 
 def is_maximal_r_degenerate(h, r):

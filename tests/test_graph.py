@@ -15,6 +15,27 @@ from convlab.graph import (
     vset,
     vset_members,
 )
+from convlab.process import residual_core, run_process
+from convlab.search import greedy_cycle_packing, max_r_degenerate_set, shortest_cycle
+from convlab.structure import bridge_pieces, bridges, girth, is_r_degenerate
+
+# Every public function that takes a vertex set reads it through
+# Graph.vertex_set.  The one deliberate exception is structure.degeneracy_peel,
+# the search's inner loop, whose callers all pass a set already checked.
+VERTEX_SET_FUNCTIONS = [
+    pytest.param(induced_subgraph, id="induced_subgraph"),
+    pytest.param(components, id="components"),
+    pytest.param(is_connected, id="is_connected"),
+    pytest.param(lambda g, mask: run_process(g, mask, 1), id="run_process"),
+    pytest.param(lambda g, mask: residual_core(g, mask, 1), id="residual_core"),
+    pytest.param(shortest_cycle, id="shortest_cycle"),
+    pytest.param(greedy_cycle_packing, id="greedy_cycle_packing"),
+    pytest.param(lambda g, mask: max_r_degenerate_set(g, 1, mask), id="max_r_degenerate_set"),
+    pytest.param(girth, id="girth"),
+    pytest.param(bridges, id="bridges"),
+    pytest.param(bridge_pieces, id="bridge_pieces"),
+    pytest.param(lambda g, mask: is_r_degenerate(g, mask, 1), id="is_r_degenerate"),
+]
 
 
 def test_build_complete_graph():
@@ -65,6 +86,18 @@ def test_components_and_connectivity():
     assert sorted(c.bit_count() for c in comps) == [2, 3]
     assert not is_connected(g)
     assert is_connected(cycle_graph(5))
+
+
+@pytest.mark.parametrize("call", VERTEX_SET_FUNCTIONS)
+def test_vertex_set_contract(call):
+    g = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])  # a triangle with a pendant
+    with pytest.raises(ValueError, match="outside 0.."):
+        call(g, 1 << g.n)
+    assert call(g, None) == call(g, g.full_mask)
+
+
+def test_empty_vertex_set_is_connected():
+    assert is_connected(cycle_graph(3), 0)
 
 
 def test_induced_subgraph_relabels():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convlab.bounds import equality_certificate
 from convlab.constructions import catalog, extremal_regular
 from convlab.graph import (
     bits,
@@ -66,6 +67,14 @@ def test_masks_outside_the_graph_rejected(mask):
                  lambda g, mask, _: girth(g, mask)):
         with pytest.raises(ValueError, match="outside 0..2"):
             call(g, mask, 1)
+
+
+def test_none_seed_is_every_vertex():
+    # the wrappers read their set through Graph.vertex_set as well
+    g = catalog()["petersen"]
+    for call in (is_conversion_set, is_k_immune, contains_k_immune_set, characterization_check,
+                 lambda g, mask, k: equality_certificate(g, k, mask)):
+        assert call(g, None, 2) == call(g, g.full_mask, 2)
 
 
 def test_masks_inside_the_graph_accepted():

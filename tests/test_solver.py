@@ -16,6 +16,7 @@ from convlab.graph import (
 from convlab.process import is_conversion_set
 from convlab.solver import (
     ORACLE,
+    ORACLE_GUARD,
     OracleGuardExceeded,
     ck_exact,
     ck_oracle,
@@ -72,7 +73,7 @@ def test_oracle_witness_lex_least():
 
 def test_oracle_guard():
     with pytest.raises(OracleGuardExceeded):
-        ck_oracle(catalog()["dodecahedron"], 2, guard=10)
+        ck_oracle(cycle_graph(ORACLE_GUARD + 1), 2)
 
 
 def test_cycle_values():
