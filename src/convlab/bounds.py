@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .graph import vset_members
-from .process import is_conversion_set
+from .process import _threshold, is_conversion_set
 from .search import greedy_cycle_packing
 from .structure import (
     bridges,
@@ -49,8 +49,7 @@ def _upper(name, value, source):
 
 def lower_bounds(g, k):
     """All applicable lower bounds on the k-conversion number of g."""
-    if k < 1:
-        raise ValueError("threshold k must be >= 1")
+    k = _threshold(k)
     out = []
     n, m = g.n, g.edge_count
     delta = max_degree(g)
@@ -69,14 +68,13 @@ def lower_bounds(g, k):
         if d == k + 1:
             out.append(_lower("forest-complement",
                               Fraction(n * (k - 1) + 2, 2 * k), "Staton"))
-        if d == 2 * k - 1 and k >= 1:
+        if d == 2 * k - 1:
             out.append(_lower("near-double-degree",
                               Fraction(n + 2 * (k - 1), 2 * k), "Zaker"))
     if d == k + 1:
         # conversion sets are decycling sets: generic decycling bounds apply
-        if delta >= 2 and m >= n:
-            out.append(_lower("edge-excess", Fraction(m - n + 1, delta - 1),
-                              "Beineke-Vandell"))
+        out.append(_lower("edge-excess", Fraction(m - n + 1, delta - 1),
+                          "Beineke-Vandell"))
         out.append(_lower("disjoint-cycles", len(greedy_cycle_packing(g)),
                           "vertex-disjoint cycle packing"))
     return out

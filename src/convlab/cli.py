@@ -41,7 +41,7 @@ def _parse_seed(text, n):
 
 
 def _emit(args, payload, text):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, default=str))
     else:
         print(text, end="" if text.endswith("\n") else "\n")
@@ -159,13 +159,11 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
-    ids = list(SUITES) if args.suite in (None, "all") else [args.suite]
-    unknown = [s for s in ids if s not in SUITES]
-    if unknown:
-        print(f"unknown suite {unknown[0]!r}; choices: all, {', '.join(SUITES)}",
+    if args.suite != "all" and args.suite not in SUITES:
+        print(f"unknown suite {args.suite!r}; choices: all, {', '.join(SUITES)}",
               file=sys.stderr)
         return EXIT_ERROR
-    outcomes = run_suites(ids)
+    outcomes = run_suites(None if args.suite == "all" else [args.suite])
     if args.json:
         print(json.dumps([o.to_dict() for o in outcomes], indent=2))
     else:

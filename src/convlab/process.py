@@ -9,6 +9,7 @@ to empty, and the stuck core is exactly what S leaves unconverted.
 """
 
 from dataclasses import dataclass
+from operator import index
 
 from .graph import bits, vset_members
 from .structure import degeneracy_peel, is_r_degenerate, regular_degree
@@ -45,6 +46,13 @@ class ConversionTrace:
         }
 
 
+def _threshold(k):
+    """k, or TypeError unless it is an integer (2.0 and "2" are not) and ValueError unless >= 1."""
+    if index(k) < 1:
+        raise ValueError("threshold k must be >= 1")
+    return k
+
+
 def run_process(g, seed_mask, k):
     """Run the synchronous conversion process to its fixed point.
 
@@ -52,8 +60,7 @@ def run_process(g, seed_mask, k):
     layer only a neighbour of the last layer can convert, so each layer
     checks only those.  An empty seed is allowed and simply stays put.
     """
-    if k < 1:
-        raise ValueError("threshold k must be >= 1")
+    k = _threshold(k)
     seed_mask = g.vertex_set(seed_mask, "seed")
     layers = [seed_mask]
     converted = seed_mask
@@ -99,8 +106,7 @@ def residual_core(g, x_mask, k):
     set, that is, at most deg(v) - k inside it; the stuck core is what
     seeding V-X leaves unconverted, so it is empty iff V-X converts all of X.
     """
-    if k < 1:
-        raise ValueError("threshold k must be >= 1")
+    k = _threshold(k)
     return degeneracy_peel(g, g.vertex_set(x_mask, "x_mask"), [d - k for d in g.degrees()])
 
 

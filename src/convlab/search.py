@@ -30,16 +30,23 @@ with it, and each removal lowers the cap by at least r_min, the least
 threshold: cap(q) - cap(q - 1) >= min(q - 1, r_min), and q > |X| > best >
 r_min because the greedy incumbent holds r_min + 1 vertices or the whole
 component.  So the decrements e(u) = deg_sub(u) - r_min over R sum to at
-least the surplus.  The node is pruned when the b largest decrements of
-undecided vertices fall short of it.  Otherwise, with `spare` the amount by
-which they exceed it and e_(b) the b-th largest, bound-driven keep forcing
-keeps every undecided u with e(u) < e_(b) - spare: u together with the
-b - 1 largest other decrements cannot cover the surplus, so no improving X
-leaves u out.  The node prunes if the kept set no longer peels, and
-otherwise repeats its safe moves and bounds before it branches.  The keep
-branch and the incumbents peel with the package's one peel,
-``structure.degeneracy_peel``, and the same per-vertex thresholds; an
-incumbent dropping v from a stuck core re-checks only v's neighbours.
+least the surplus.  Over all undecided vertices U they always cover it, as
+kept peels: with a = max(0, r_min - |kept|) they exceed it by at least
+E(U) - a(a+1)/2, and each undecided vertex has at least a + 1 undecided
+neighbours, so E(U) >= (a+2)(a+1)/2.  With m the fewest that cover it, the
+node is pruned when |sub| - m <= best.  Otherwise, with `spare` the amount
+by which the b largest exceed it and e_(b) the b-th largest, bound-driven
+keep forcing keeps every undecided u with e(u) < e_(b) - spare: u together
+with the b - 1 largest other decrements cannot cover the surplus, so no
+improving X leaves u out.  The node prunes if the kept set no longer
+peels, and otherwise repeats its safe moves and bounds before it branches.
+A safe move keeps an undecided v with at most r(v) neighbours left in sub,
+and a kept threshold-0 vertex leaves out its threshold-0 neighbours; one
+scan per pass suffices, as a threshold-0 vertex is kept only when it has
+no neighbour in sub to block.  The keep branch and the incumbents peel
+with the package's one peel, ``structure.degeneracy_peel``, and the same
+per-vertex thresholds; an incumbent dropping v from a stuck core re-checks
+only v's neighbours.
 
 The incumbent of each component is a greedy peelable set, improved at the
 root by a seeded local search with a fixed move budget that takes only moves
@@ -193,18 +200,12 @@ def max_r_degenerate_set(g, r, within=None):
     or a sequence indexed by vertex; every threshold on ``within`` must be
     >= 0.  Returns (size, mask, nodes_explored).  Deterministic: branches on
     the undecided vertex with the largest deg_sub(v) - r[v] (ties by lowest
-    id), removal first.  The edge bound is per vertex: removing an
-    undecided u lowers the edge surplus E(sub) - cap(|sub|) by at most
-    deg_sub(u) - r_min, as u takes deg_sub(u) edges and the cap falls by at
-    least r_min (valid because every improving set has more than r_min
-    vertices).  A node prunes when the largest such decrements cannot cover
-    the surplus, and otherwise keeps, before it branches, every undecided
-    vertex that no improving set can leave out (bound-driven keep forcing;
-    the module docstring gives the rule).  The components of G[within] are
-    solved one by one from a work list and their results added up.  When
-    every threshold on a component is 1 and its greedy incumbent falls
-    short of its ceiling, its root tests for bridges: if it has one, the
-    pieces left after deleting them join the work list in its place, and
+    id), removal first, after the safe moves, the per-vertex edge bound and
+    bound-driven keep forcing of the module docstring.  The components of
+    G[within] are solved one by one from a work list and their results added
+    up.  When every threshold on a component is 1 and its greedy incumbent
+    falls short of its ceiling, its root tests for bridges: if it has one,
+    the pieces left after deleting them join the work list in its place, and
     the root counts as one node.  Each component starts from the greedy
     incumbent plus a seeded local search of at most MOVES_PER_VERTEX moves
     per vertex, run at the root only when the greedy set falls short of the
@@ -283,34 +284,31 @@ def _max_connected(g, r, within):
             # safe moves: a vertex with at most r[v] neighbours left is always
             # in some optimal solution; threshold-0 kept vertices block.  The
             # scan also records the others' degrees in sub and the branching v
-            while True:
-                if zero:
-                    blocked = 0
-                    for v in bits(kept & zero):
-                        blocked |= adj[v]
-                    blocked &= undecided & zero
-                    if blocked:
-                        undecided &= ~blocked
-                        packing = None
-                sub = kept | undecided
-                moved = 0
-                verts, degs = [], []
-                v, v_excess = -1, 0
-                for u in bits(undecided):
-                    d = (adj[u] & sub).bit_count()
-                    excess = d - r[u]
-                    if excess <= 0:
-                        moved |= 1 << u
-                    else:
-                        verts.append(u)
-                        degs.append(d)
-                        if excess > v_excess:
-                            v, v_excess = u, excess
-                kept |= moved
-                undecided &= ~moved
-                # sub is unchanged: only a newly kept threshold-0 vertex can block
-                if not moved & zero:
-                    break
+            if zero:
+                blocked = 0
+                for v in bits(kept & zero):
+                    blocked |= adj[v]
+                blocked &= undecided & zero
+                if blocked:
+                    undecided &= ~blocked
+                    packing = None
+            sub = kept | undecided
+            moved = 0
+            verts, degs = [], []
+            v, v_excess = -1, 0
+            for u in bits(undecided):
+                d = (adj[u] & sub).bit_count()
+                excess = d - r[u]
+                if excess <= 0:
+                    moved |= 1 << u
+                else:
+                    verts.append(u)
+                    degs.append(d)
+                    if excess > v_excess:
+                        v, v_excess = u, excess
+            # one scan: a threshold-0 vertex moves only with no neighbour to block
+            kept |= moved
+            undecided &= ~moved
             if not undecided:
                 size = kept.bit_count()
                 if size > best:
@@ -324,9 +322,8 @@ def _max_connected(g, r, within):
             for u in bits(kept):
                 deg_sum += (adj[u] & sub).bit_count()
             # removing an undecided u lowers the surplus by at most its
-            # decrement deg_sub(u) - r_min: it takes deg_sub(u) edges and
-            # lowers the cap by at least r_min; upper leaves out the fewest
-            # vertices whose decrements cover the surplus
+            # decrement deg_sub(u) - r_min; upper leaves out the fewest whose
+            # decrements cover the surplus, which all of them always do
             upper = n_sub
             surplus = deg_sum // 2 - caps[n_sub]
             if surplus > 0:
@@ -336,8 +333,6 @@ def _max_connected(g, r, within):
                     need -= d - r_min
                     if need <= 0:
                         break
-                if need > 0:
-                    break
                 upper -= m
                 if upper <= best:
                     break

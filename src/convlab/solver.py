@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graph import vset
-from .process import is_conversion_set
+from .process import _threshold, is_conversion_set
 from .search import max_r_degenerate_set
 
 ORACLE = "Oracle"
@@ -80,8 +80,7 @@ def ck_exact(g, k):
     bound.  Vertices with deg(v) < k are always seeds.  The witness is
     re-simulated before it is returned.
     """
-    if k < 1:
-        raise ValueError("threshold k must be >= 1")
+    k = _threshold(k)
     start = time.perf_counter()
     r = [d - k for d in g.degrees()]
     within = vset(v for v in range(g.n) if r[v] >= 0)

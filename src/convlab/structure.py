@@ -218,8 +218,6 @@ def vertex_connectivity(g):
     v is the arc 2v -> 2v+1 and edge uw the arcs 2u+1 -> 2w and 2w+1 -> 2u."""
     if g.n <= 1 or not is_connected(g):
         return 0
-    if g.edge_count == g.n * (g.n - 1) // 2:
-        return g.n - 1
     cap = [row for v in range(g.n)
            for row in (1 << 2 * v + 1, sum(1 << 2 * w for w in g.neighbors(v)))]
     v0 = min(range(g.n), key=lambda v: (g.degree(v), v))

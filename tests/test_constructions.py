@@ -374,6 +374,13 @@ def test_random_regular_uniform_over_labelled_graphs():
     assert 50 < min(counts.values()) and max(counts.values()) < 150  # mean 100
 
 
+def test_random_regular_names_its_degree_limit():
+    # d' = min(d, n - 1 - d) = 7: a pairing is simple about exp(-12), so
+    # every restart fails
+    with pytest.raises(ConstructionError, match=r"min\(d, n-1-d\) = 7 .* d' >= 7 practically never"):
+        random_regular_graph(20, 7, seed=1)
+
+
 @pytest.mark.parametrize("seed", [3, 4])
 def test_random_regular_dense_draws_succeed(seed):
     # 2d > n - 1: the complement of a 5-regular draw; the direct 6-regular

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convlab.bounds import equality_certificate
+from convlab import solver
+from convlab.bounds import equality_certificate, lower_bounds
 from convlab.constructions import catalog, extremal_regular
 from convlab.graph import (
     bits,
@@ -55,6 +56,24 @@ def test_empty_seed_incomplete():
 def test_threshold_must_be_positive():
     with pytest.raises(ValueError):
         run_process(cycle_graph(4), 0, 0)
+
+
+@pytest.mark.parametrize("k, error", [(0, ValueError), (1.5, TypeError), (2.0, TypeError),
+                                      ("2", TypeError)])
+@pytest.mark.parametrize("call", [lambda g, k: run_process(g, 0b1, k),
+                                  lambda g, k: residual_core(g, g.full_mask, k),
+                                  lambda g, k: solver.ck_exact(g, k),
+                                  lambda g, k: lower_bounds(g, k)],
+                         ids=["run_process", "residual_core", "ck_exact", "lower_bounds"])
+def test_every_threshold_entry_point_rejects_bad_k(monkeypatch, call, k, error):
+    # each rejects k before any simulation or search: 1.5 must not run as
+    # k = 2, nor 2.0 reach the search's list indexing
+    def search(*args):
+        pytest.fail("the search started")
+
+    monkeypatch.setattr(solver, "max_r_degenerate_set", search)
+    with pytest.raises(error):
+        call(catalog()["petersen"], k)
 
 
 @pytest.mark.parametrize("mask", [0b1000, 0b1111, -1])

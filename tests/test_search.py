@@ -145,6 +145,16 @@ def test_node_count_pins():
     assert (res.value, res.nodes_explored) == (9, 187)
 
 
+@pytest.mark.parametrize("a, b, k, pin", [(2, 8, 2, (5, 74)), (5, 5, 3, (12, 66)),
+                                         (4, 6, 3, (13, 959))])
+def test_threshold_zero_blocking_pins(a, b, k, pin):
+    # threshold 0 falls on the corners at k = 2 and on the border at k = 3:
+    # a kept threshold-0 vertex leaves out its threshold-0 neighbours.
+    # Without that rule these take 275, 586 and 4,075 nodes
+    res = ck_exact(_grid(a, b), k)
+    assert (res.value, res.nodes_explored) == pin
+
+
 # (n, seed) -> (c_3, nodes) for random_regular_graph(n, 5, seed): r = 2, and
 # seed 1 of each order meets the root edge bound
 RANDOM_5_REGULAR_PINS = {

@@ -33,6 +33,8 @@ LADDER = {
        for n in (24, 30) for s in (1, 2, 3)},
     "grid4x5": ("grid", (4, 5), 2),
     "grid5x5": ("grid", (5, 5), 2),
+    "grid2x8": ("grid", (2, 8), 2),
+    "grid4x6": ("grid", (4, 6), 3),
     **{f"cycle_replacement({m},2)": ("cycle_replacement", (m, 2), 2) for m in (3, 4, 5)},
     **{f"path_replacement({m},1)": ("path_replacement", (m, 1), 2) for m in range(3, 13)},
 }
