@@ -422,9 +422,9 @@ def random_regular_graph(n, d, seed):
     returns its complement: complementing is a bijection between labelled
     d-regular and (n-1-d)-regular graphs, so the draw stays uniform, and a
     sparse pairing is simple far more often.  Deterministic for a given seed.
-    A pairing of degree d' = min(d, n - 1 - d) is simple about exp(-(d'^2 - 1)/4)
-    of the time, so d' >= 7 practically never succeeds within RANDOM_REGULAR_TRIES
-    restarts: (20, 7) to (20, 12) all fail.
+    A pairing of degree d' = min(d, n-1-d) is simple about exp(-(d'^2-1)/4)
+    of the time, so d' >= 7 practically never succeeds within the
+    RANDOM_REGULAR_TRIES restarts: (20, 7) to (20, 12) all fail.
     """
     if n * d % 2 or d >= n or d < 0:
         raise ConstructionError(f"no {d}-regular graph on {n} vertices exists")
