@@ -17,7 +17,6 @@ from .structure import (
     is_connected,
     is_cubic,
     is_maximal_r_degenerate,
-    is_r_degenerate,
     max_degree,
     regular_degree,
     triangle_free,
@@ -113,9 +112,9 @@ def equality_certificate(g, k, s_mask):
     """Classify a conversion set of a (k+r)-regular graph (1 <= r < k)
     against the exact rational lower bound.
 
-    Returns one of the certificate labels.  For r = 1 the bound is tight
-    iff the seed is independent and the rest induces a tree; for r >= 2 iff
-    the seed is independent and the rest is maximal r-degenerate.
+    Returns one of the certificate labels.  The bound is tight iff the seed
+    is independent and the rest is maximal r-degenerate, which for r = 1
+    means that the rest induces a tree.
     """
     d = regular_degree(g)
     if d is None or not (k + 1 <= d < 2 * k):
@@ -126,13 +125,9 @@ def equality_certificate(g, k, s_mask):
     r = d - k
     rest = g.full_mask & ~s_mask
     independent = all(g.adj[v] & s_mask == 0 for v in vset_members(s_mask))
-    if r == 1:
-        tight = independent and is_connected(g, rest) and is_r_degenerate(g, rest, 1)
-    else:
-        if not is_r_degenerate(g, rest, r):
-            raise ValueError("complement of a conversion set must be r-degenerate")
-        h, _ = induced_subgraph(g, rest)
-        tight = independent and is_maximal_r_degenerate(h, r)
+    # S converts, so the rest peels: it is r-degenerate, and maximal iff it
+    # has the Lick-White edge count (for r = 1, q - 1 edges: a tree)
+    tight = independent and is_maximal_r_degenerate(induced_subgraph(g, rest)[0], r)
     exact = Fraction((k - r) * g.n + (r + 1) * r, 2 * k)
     meets_exact = Fraction(s_mask.bit_count()) == exact
     # a structural equality certificate and the numeric test must agree

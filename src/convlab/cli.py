@@ -11,7 +11,7 @@ import json
 import sys
 
 from .bounds import lower_bounds, upper_bounds_cubic
-from .constructions import RECIPES, Recipe, build_recipe, catalog
+from .constructions import RECIPES, Recipe, build_recipe, catalog, catalog_graph
 from .fileio import load_graph, to_edge_list, to_graph6
 from .graph import vset, vset_members
 from .process import run_process
@@ -124,14 +124,11 @@ def cmd_construct(args):
 
 
 def cmd_catalog(args):
-    graphs = catalog()
     if args.name:
-        g = graphs.get(args.name)
-        if g is None:
-            print(f"unknown catalog graph {args.name!r}", file=sys.stderr)
-            return EXIT_ERROR
+        g = catalog_graph(args.name)
         sys.stdout.write(to_graph6(g) + "\n" if args.format == "graph6" else to_edge_list(g))
         return EXIT_PASS
+    graphs = catalog()
     for name in sorted(graphs):
         g = graphs[name]
         print(f"{name:14} n={g.n:3} m={g.edge_count}")

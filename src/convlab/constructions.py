@@ -502,8 +502,15 @@ def build_recipe(recipe):
                                     f" parameters: {', '.join(names)}")
     args = []
     for key in names:
-        if key in recipe.params:
-            args.append(_PARSERS.get(key, int)(recipe.params[key]))
+        if key in _PARSERS and key in recipe.params:
+            args.append(_PARSERS[key](recipe.params[key]))
+        elif key in recipe.params:
+            text = recipe.params[key]
+            try:
+                args.append(int(text))
+            except ValueError:
+                raise ConstructionError(f"recipe {recipe.name!r} parameter {key!r} must be an"
+                                        f" integer, got {text!r}") from None
         elif key in defaults:
             args.append(defaults[key])
         else:

@@ -9,16 +9,13 @@ bound, a greedy vertex-disjoint cycle packing when no threshold exceeds 1,
 and a ceiling on each component: the first vertex of X peeled keeps at
 least deg(v) - r(v) neighbours out of X.
 
-The search works on one connected component at a time, from a work list.
-When every threshold on a component is 1, X peels iff it induces a forest,
-and no cycle crosses a bridge, so X is a forest iff its part in each piece
-left after deleting the bridges is one: the pieces' maxima add up (the
-paper's bridge lemma for c_2 of cubic graphs).  A component whose greedy
-incumbent does not already meet its ceiling is then replaced by its pieces
-at its root, which counts as one node.  A piece has no bridge, so it splits
-no further.  With other thresholds the split is wrong: two triangles joined
-by a bridge at k = 2 have thresholds 0 and 1, c_2 = 3, but their pieces add
-up to 2 seeds.
+The search runs once per connected piece.  When every threshold on a
+component is 1, X peels iff it induces a forest, and no cycle crosses a
+bridge, so the maxima of the pieces left after deleting the bridges add up
+(the paper's bridge lemma for c_2 of cubic graphs): such a component is
+split into them before any search.  With other thresholds the split is
+wrong: two triangles joined by a bridge at k = 2 have thresholds 0 and 1,
+c_2 = 3, but their pieces add up to 2 seeds.
 
 The edge-count bound: a peelable set of q vertices spans at most cap(q) =
 sum over i <= q of min(r_(i), q - i) edges, r_(i) the i-th largest
@@ -201,16 +198,13 @@ def max_r_degenerate_set(g, r, within=None):
     >= 0.  Returns (size, mask, nodes_explored).  Deterministic: branches on
     the undecided vertex with the largest deg_sub(v) - r[v] (ties by lowest
     id), removal first, after the safe moves, the per-vertex edge bound and
-    bound-driven keep forcing of the module docstring.  The components of
-    G[within] are solved one by one from a work list and their results added
-    up.  When every threshold on a component is 1 and its greedy incumbent
-    falls short of its ceiling, its root tests for bridges: if it has one,
-    the pieces left after deleting them join the work list in its place, and
-    the root counts as one node.  Each component starts from the greedy
-    incumbent plus a seeded local search of at most MOVES_PER_VERTEX moves
-    per vertex, run at the root only when the greedy set falls short of the
-    root bound and stopped as soon as it meets that bound; node counts and
-    masks do not depend on the machine.
+    bound-driven keep forcing of the module docstring.  Each component of
+    G[within] is searched on its own, or, when its thresholds are all 1,
+    each piece left after deleting its bridges; the results add up.  Each
+    search starts from the greedy incumbent plus a seeded local search of
+    at most MOVES_PER_VERTEX moves per vertex, run at the root only when the
+    greedy set falls short of the root bound and stopped as soon as it meets
+    that bound; node counts and masks do not depend on the machine.
     """
     within = g.vertex_set(within, "within")
     if isinstance(r, int):
@@ -222,20 +216,20 @@ def max_r_degenerate_set(g, r, within=None):
     elif any(r[v] < 0 for v in bits(within)):
         raise ValueError("thresholds on within must be >= 0")
     size = mask = nodes = 0
-    work = components(g, within)
-    while work:
-        c_size, c_mask, c_nodes, pieces = _max_connected(g, r, work.pop())
-        size += c_size
-        mask |= c_mask
-        nodes += c_nodes
-        work += pieces
+    for comp in components(g, within):
+        # the bridge lemma: at thresholds 1 the pieces' maxima add up
+        pieces = bridge_pieces(g, comp) if all(r[v] == 1 for v in bits(comp)) else [comp]
+        for piece in pieces:
+            p_size, p_mask, p_nodes = _max_connected(g, r, piece)
+            size += p_size
+            mask |= p_mask
+            nodes += p_nodes
     return size, mask, nodes
 
 
 def _max_connected(g, r, within):
-    """(size, mask, nodes, pieces) for the connected G[within]: its maximum
-    peelable set, or, when every threshold is 1 and G[within] has a bridge,
-    the pieces left after deleting its bridges, to be solved instead."""
+    """(size, mask, nodes) for the connected G[within]: its maximum
+    peelable set and the number of search nodes that proved it."""
     adj = g.adj
     nodes = 0
     best_mask = _greedy_feasible(g, r, within)
@@ -272,12 +266,6 @@ def _max_connected(g, r, within):
         if best >= ceiling:
             continue
         root = nodes == 1
-        if root and r_min == r_max == 1:
-            # X is a forest and no cycle crosses a bridge: the pieces left
-            # after deleting the bridges add up (the paper's bridge lemma)
-            pieces = bridge_pieces(g, within)
-            if len(pieces) > 1:
-                return 0, 0, nodes, pieces
         # each pass decides vertices without branching: safe moves, then
         # the keeps the edge bound forces; a pass that forces none branches
         while True:
@@ -376,4 +364,4 @@ def _max_connected(g, r, within):
                 stack.append((kept | bit, rest, packing))
             stack.append((kept, rest, None))
             break
-    return best, best_mask, nodes, ()
+    return best, best_mask, nodes

@@ -47,6 +47,7 @@ from .process import (
     is_conversion_set,
     run_process,
 )
+from .search import max_r_degenerate_set
 from .solver import ck_exact, verify_witness
 from .structure import (
     CLASS1,
@@ -443,7 +444,10 @@ def suite_product_structure():
 def suite_product_quota():
     """Every minimum 2-conversion set of the order-28 product takes at
     least two vertices from every inner copy, and the order-66 product
-    obeys the per-copy arithmetic bound without exact solving."""
+    exceeds the ceiled bound by its computed per-copy quotas: a copy's
+    order minus its largest set that peels at threshold 1.  Peelability is
+    hereditary, so the part in each copy of a peelable X peels under the
+    same thresholds, and c_2 is at least the sum of the quotas."""
     out = []
     g1 = catalog_graph("g1")
     prod = product_deleted(complete_graph(4), g1)
@@ -456,11 +460,12 @@ def suite_product_quota():
     _check(out, "k33*blob: cubic", 3, regular_degree(big))
     _check(out, "k33*blob: girth >= 4", True, girth(big) >= 4)
     _check(out, "k33*blob: 3-connected", True, is_k_connected(big, 3))
-    # per-copy quota: each of the 6 copies of the order-12 factor demands
-    # >= 3 conversion vertices, so c_2 >= 18 without exact solving
-    lb = 6 * 3
+    # each of the 6 copies of the order-12 factor minus a vertex
+    quotas = [11 - max_r_degenerate_set(big, 1, vset(range(11 * i, 11 * i + 11)))[0]
+              for i in range(6)]
+    _check(out, "k33*blob: per-copy quotas", [3] * 6, quotas)
     _check(out, "k33*blob: per-copy bound exceeds the ceiled bound", True,
-           lb > ceil((big.n + 2) / 4))
+           sum(quotas) > ceil((big.n + 2) / 4))
     return out
 
 

@@ -197,15 +197,20 @@ def test_certificate_rejects_non_conversion_set():
 
 
 def test_certificate_disagreement_raises(monkeypatch):
-    # the witness on this 5-regular circulant is independent and misses the
-    # fractional bound 16/6, so a maximality check that says yes contradicts
-    # the numbers; the error must not depend on `assert` (python -O)
-    g = small_regular(10, 5)
-    res = ck_exact(g, 3)
-    assert equality_certificate(g, 3, res.witness) == NO_EQUALITY
+    # each seed is independent and misses the exact bound, so a maximality
+    # check that says yes contradicts the numbers; the error must not
+    # depend on `assert` (python -O).  r = 1: a colour class of the cube
+    # converts, but the rest is 4 isolated vertices, no tree, and 4 seeds
+    # miss 10/4.  r = 2: the witness on this 5-regular circulant misses 16/6
+    circulant = small_regular(10, 5)
+    cases = [(catalog()["q3"], 2, vset([0, 2, 5, 7])),
+             (circulant, 3, ck_exact(circulant, 3).witness)]
+    for g, k, seed in cases:
+        assert equality_certificate(g, k, seed) == NO_EQUALITY
     monkeypatch.setattr("convlab.bounds.is_maximal_r_degenerate", lambda h, r: True)
-    with pytest.raises(RuntimeError, match="internal error"):
-        equality_certificate(g, 3, res.witness)
+    for g, k, seed in cases:
+        with pytest.raises(RuntimeError, match="internal error"):
+            equality_certificate(g, k, seed)
 
 
 def test_best_lower_bound():

@@ -88,6 +88,15 @@ def test_catalog_listing(capsys):
     assert "petersen" in names and names == sorted(names)
 
 
+def test_catalog_unknown_name_gives_the_recipe_error(capsys):
+    # `catalog x` and `--param graph=x` report the same error with the choices
+    assert main(["catalog", "x"]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: unknown catalog graph 'x'; choices: blob, ")
+    assert main(["construct", "catalog", "--param", "graph=x"]) == EXIT_ERROR
+    assert capsys.readouterr().err == err
+
+
 def test_classify_json(capsys):
     code = main(["classify", "--graph", "j5", "--json"])
     payload = json.loads(capsys.readouterr().out)
@@ -122,6 +131,14 @@ def test_construct_parameter_errors_name_recipe_and_parameter(capsys):
     assert main(["construct", "extremal", "--param", "k=3", "--param", "k=2"]) == EXIT_ERROR
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: recipe 'extremal' gets parameter 'k' more than once\n")
+    # a non-integer value names the recipe and the parameter, not int()
+    assert main(["construct", "extremal", "--param", "k=abc"]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: recipe 'extremal' parameter 'k' must be an integer, got 'abc'\n")
+    args = ["construct", "random-regular", "--param", "n=10", "--param", "d=3", "--param", "seed=x"]
+    assert main(args) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: recipe 'random-regular' parameter 'seed' must be an integer, got 'x'\n"
 
 
 @pytest.mark.parametrize("u, v", [(99, 1), (-1, 4)])

@@ -205,10 +205,19 @@ def test_local_search_reaches_the_decycling_bound_at_200(seed):
 
 @pytest.mark.parametrize("m", range(3, 13))
 def test_path_replacement_bridge_split_pins(m):
-    # every threshold is 1 at k = 2: the root splits at the m - 1 bridges,
-    # and each of the m blocks closes at its own root node
+    # every threshold is 1 at k = 2: the graph splits at the m - 1 bridges
+    # before any search, and each of the m blocks closes at its own root node
     res = ck_exact(path_replacement(m, 1), 2)
-    assert res.value == 2 * m and res.nodes_explored <= m + 1
+    assert (res.value, res.nodes_explored) == (2 * m, m)
+
+
+@pytest.mark.parametrize("tree, pin", [("k2", (4, 2)), ("star", (7, 4))], ids=["k2", "star"])
+def test_tree_gadget_bridge_split_pins(tree, pin):
+    # one node per piece left after deleting the bridges: 2 pierced K4s
+    # for the k2 tree, a triangle and 3 pierced K4s for the star
+    trees = {"k2": path_graph(2), "star": build_graph(4, [(0, 1), (0, 2), (0, 3)])}
+    res = ck_exact(tree_gadget_graph(trees[tree]), 2)
+    assert (res.value, res.nodes_explored) == pin
 
 
 def test_bridge_split_needs_every_threshold_one():
