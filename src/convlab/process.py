@@ -62,22 +62,21 @@ def run_process(g, seed_mask, k):
     """
     k = _threshold(k)
     seed_mask = g.vertex_set(seed_mask, "seed")
+    adj = g.adj
     layers = [seed_mask]
     converted = seed_mask
     full = g.full_mask
     check = full & ~converted
     while check:
-        new = 0
-        for v in bits(check):
-            if (g.adj[v] & converted).bit_count() >= k:
-                new |= 1 << v
-        if not new:
+        layer = [v for v in bits(check) if (adj[v] & converted).bit_count() >= k]
+        if not layer:
             break
+        new = check = 0
+        for v in layer:
+            new |= 1 << v
+            check |= adj[v]
         layers.append(new)
         converted |= new
-        check = 0
-        for v in bits(new):
-            check |= g.adj[v]
         check &= ~converted
     return ConversionTrace(
         threshold=k,
@@ -107,7 +106,7 @@ def residual_core(g, x_mask, k):
     seeding V-X leaves unconverted, so it is empty iff V-X converts all of X.
     """
     k = _threshold(k)
-    return degeneracy_peel(g, g.vertex_set(x_mask, "x_mask"), [d - k for d in g.degrees()])
+    return degeneracy_peel(g, g.vertex_set(x_mask, "x_mask"), [a.bit_count() - k for a in g.adj])
 
 
 def contains_k_immune_set(g, x_mask, k):

@@ -390,9 +390,10 @@ def degeneracy_peel(g, mask, r, check=None):
     check = mask if check is None else check
     while check:
         v = check.bit_length() - 1
-        check ^= 1 << v
+        bit = 1 << v
+        check ^= bit
         if (adj[v] & core).bit_count() <= r[v]:
-            core &= ~(1 << v)
+            core ^= bit
             check |= adj[v] & core
     return core
 

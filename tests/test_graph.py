@@ -1,8 +1,12 @@
+import inspect
+import random
+
 import pytest
 
 from convlab.graph import (
     GraphError,
     are_isomorphic,
+    bits,
     build_graph,
     complete_bipartite,
     complete_graph,
@@ -77,6 +81,46 @@ def test_vset_roundtrip():
     mask = vset([4, 1, 7])
     assert vset_members(mask) == [1, 4, 7]
     assert mask.bit_count() == 3
+
+
+def _plain_scan(mask, width):
+    """Set bit positions of ``mask`` below ``width``, one shift per position."""
+    return [i for i in range(width) if mask >> i & 1]
+
+
+WIDE_EDGE_MASKS = [
+    pytest.param(0, id="zero"),
+    pytest.param(1 << 63, id="bit63"),
+    pytest.param(1 << 64, id="bit64"),
+    pytest.param((1 << 64) | 1, id="bit64-and-bit0"),
+    pytest.param(1 << 2999, id="bit2999"),
+    pytest.param((1 << 3000) - 1, id="all3000"),
+    # the 16 bits taken one at a time end inside a word that holds more
+    pytest.param(sum(1 << i for i in range(100, 117)), id="bits100-116"),
+    pytest.param((1 << 16) - 1 | 1 << 2999, id="bits0-15-and-2999"),
+    pytest.param((1 << 17) - 1 | 1 << 2999, id="bits0-16-and-2999"),
+]
+
+
+@pytest.mark.parametrize("mask", WIDE_EDGE_MASKS)
+def test_bits_wide_edge_masks_match_plain_scan(mask):
+    assert list(bits(mask)) == _plain_scan(mask, 3001)
+
+
+@pytest.mark.parametrize("width", [30, 64, 65, 500, 3000])
+def test_bits_wide_random_masks_match_plain_scan(width):
+    rng = random.Random(width)
+    for density in (0.002, 0.01, 0.05, 0.3, 0.6, 0.9):
+        for _ in range(3):
+            mask = sum(1 << i for i in range(width) if rng.random() < density)
+            assert list(bits(mask)) == _plain_scan(mask, width), (width, density)
+
+
+def test_bits_wide_stays_a_lazy_generator():
+    # a generator, so perfbench's tracer does not wrap it and a caller may
+    # stop early without the rest of the mask being walked
+    assert inspect.isgeneratorfunction(bits)
+    assert next(bits((1 << 3000) - 2)) == 1
 
 
 def test_components_and_connectivity():

@@ -1,10 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convlab import solver
 from convlab.bounds import equality_certificate, lower_bounds
-from convlab.constructions import catalog, extremal_regular
+from convlab.constructions import catalog, extremal_regular, random_regular_graph
 from convlab.graph import (
     bits,
     build_graph,
@@ -15,6 +17,7 @@ from convlab.graph import (
     vset,
 )
 from convlab.process import (
+    CharacterizationReport,
     ConversionTrace,
     characterization_check,
     contains_k_immune_set,
@@ -219,6 +222,86 @@ def test_run_process_matches_full_scan(data):
     for k in range(1, 5):
         for seed in (small, big):
             assert run_process(g, seed, k) == reference_run_process(g, seed, k)
+
+
+def _scan_layers(g, seed_mask, k):
+    """Process layers found by counting, for every v in range(n), its
+    converted neighbours; no bit iteration, so nothing shared with bits()."""
+    layers = [seed_mask]
+    converted = seed_mask
+    while True:
+        new = 0
+        for v in range(g.n):
+            if not converted >> v & 1 and (g.adj[v] & converted).bit_count() >= k:
+                new |= 1 << v
+        if not new:
+            return layers
+        layers.append(new)
+        converted |= new
+
+
+def _scan_core(g, x_mask, k):
+    """Residual core found in rounds over range(n): drop every vertex of
+    the set with at least k neighbours outside it, until none has."""
+    core = x_mask
+    while True:
+        drop = 0
+        for v in range(g.n):
+            if core >> v & 1 and g.adj[v].bit_count() - (g.adj[v] & core).bit_count() >= k:
+                drop |= 1 << v
+        if not drop:
+            return core
+        core ^= drop
+
+
+def _gnp(n, p, seed):
+    rng = random.Random(seed)
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+# (graph, its degree or None, k -> seed densities).  Below k = degree the
+# two densities lie on either side of the critical one: the first stalls
+# and the second converts every vertex.  At k = degree a seed converts only
+# when its complement is independent, so both mostly stall.  A G(n, p) draw
+# has isolated vertices and never converts from these seeds.
+WIDE_CASES = [
+    pytest.param(lambda: random_regular_graph(500, 3, seed=1), 3,
+                 {2: (0.3, 0.6), 3: (0.6, 0.95)}, id="rr500-d3"),
+    pytest.param(lambda: random_regular_graph(1000, 4, seed=2), 4,
+                 {2: (0.06, 0.2), 3: (0.45, 0.8), 4: (0.8, 0.97)}, id="rr1000-d4"),
+    pytest.param(lambda: random_regular_graph(3000, 4, seed=3), 4,
+                 {2: (0.06, 0.2), 3: (0.45, 0.8), 4: (0.9,)}, id="rr3000-d4"),
+    pytest.param(lambda: random_regular_graph(2000, 3, seed=4), 3, {2: (0.3, 0.6)}, id="rr2000-d3"),
+    pytest.param(lambda: _gnp(1000, 4 / 999, seed=5), None, {2: (0.1, 0.3), 3: (0.4, 0.7)}, id="gnp1000-p4"),
+]
+
+
+@pytest.mark.parametrize("make, degree, densities", WIDE_CASES)
+def test_wide_graph_process_core_and_characterization_match_scans(make, degree, densities):
+    g = make()
+    full = g.full_mask
+    rng = random.Random(g.n)
+    seen = set()
+    for k, rhos in densities.items():
+        for rho in rhos:
+            seed = sum(1 << v for v in range(g.n) if rng.random() < rho)
+            layers = _scan_layers(g, seed, k)
+            converted = 0
+            for layer in layers:
+                converted |= layer
+            complete = converted == full
+            seen.add(complete)
+            trace = run_process(g, seed, k)
+            assert trace == ConversionTrace(threshold=k, layers=tuple(layers), converted=converted,
+                                            complete=complete, time=len(layers) - 1)
+            core = residual_core(g, full & ~seed, k)
+            assert core == _scan_core(g, full & ~seed, k)
+            assert core == full & ~trace.converted  # the duality
+            rule = None if degree is None else complete
+            order = None if degree is None else degree - k
+            assert characterization_check(g, seed, k) == CharacterizationReport(complete, rule, order)
+    if degree is not None:
+        assert seen == {False, True}  # the densities straddle the critical one
 
 
 def _is_k_immune_one_pass(g, u_mask, k):

@@ -13,7 +13,8 @@ the relative change of the medians.  --trace-seed adds one traced run per
 side and workload; --ladder adds exact node counts, values and witnesses
 of the instance ladder below, solved in-process in each checkout; an
 instance a side does not reach within LADDER_SECONDS records null there.
-Standard library only.
+--ladder also records each checkout's in-process kernel times, best of
+KERNEL_REPEATS (see time_kernels).  Standard library only.
 """
 
 import argparse
@@ -24,6 +25,7 @@ import statistics
 import subprocess
 import sys
 import time
+import timeit
 
 # name -> (builder, its arguments, k); "grid" is the a x b grid graph
 LADDER = {
@@ -61,6 +63,39 @@ def solve_ladder():
         ms = 1000 * (time.perf_counter() - start)
         print(json.dumps({"name": name, "k": k, "n": g.n, "value": res.value,
                           "nodes": res.nodes_explored, "witness": res.witness, "ms": ms}), flush=True)
+
+
+KERNEL_REPEATS = 5
+
+
+def time_kernels():
+    """Run inside a checkout: one JSON line of microseconds per call, the
+    best of KERNEL_REPEATS timeit runs, for the bitmask kernels on 3,000
+    vertices: ``bits`` over a dense (half the bits) and a sparse (10 bits)
+    mask, and ``run_process`` and ``residual_core`` at k = 2 on
+    random_regular_graph(3000, 4, seed=1) from a seed of density 0.2, which
+    converts everything in about ten layers."""
+    import random
+
+    from convlab import constructions, graph, process
+
+    rng = random.Random(1)
+    g = constructions.random_regular_graph(3000, 4, seed=1)
+    dense = sum(1 << v for v in range(3000) if rng.random() < 0.5)
+    sparse = sum(1 << v for v in rng.sample(range(3000), 10))
+    seed = sum(1 << v for v in range(3000) if rng.random() < 0.2)
+    kernels = {
+        "bits_dense3000": lambda: list(graph.bits(dense)),
+        "bits_sparse3000": lambda: list(graph.bits(sparse)),
+        "run_process_rr3000": lambda: process.run_process(g, seed, 2),
+        "residual_core_rr3000": lambda: process.residual_core(g, g.full_mask & ~seed, 2),
+    }
+    out = {}
+    for name, call in kernels.items():
+        timer = timeit.Timer(call)
+        number = timer.autorange()[0]
+        out[name] = round(1e6 * min(timer.repeat(KERNEL_REPEATS, number)) / number, 2)
+    print(json.dumps(out), flush=True)
 
 
 def run(checkout, *args, timeout=None):
@@ -161,8 +196,12 @@ def main():
                 for side, path in sides.items()}
     if args.ladder:
         code = (f"import sys; sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r}); "
-                "import bench_pairs; bench_pairs.solve_ladder()")
-        solved = {side: {r["name"]: r for r in map(json.loads, run(path, "-c", code,
+                "import bench_pairs; bench_pairs.")
+        kernels = {side: json.loads(run(path, "-c", code + "time_kernels()")[-1])
+                   for side, path in sides.items()}
+        out["kernels_us"] = {name: {side: kernels[side][name] for side in sides}
+                             for name in kernels["change"]}
+        solved = {side: {r["name"]: r for r in map(json.loads, run(path, "-c", code + "solve_ladder()",
                                                                    timeout=LADDER_SECONDS))}
                   for side, path in sides.items()}
         out["ladder_seconds"] = LADDER_SECONDS
