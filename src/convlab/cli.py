@@ -33,10 +33,15 @@ def _read_graph(source):
 
 
 def _parse_seed(text, n):
-    ids = [int(tok) for tok in text.replace(",", " ").split()]
-    for v in ids:
+    ids = []
+    for tok in text.replace(",", " ").split():
+        try:
+            v = int(tok)
+        except ValueError:
+            raise ValueError(f"--seed-set entry {tok!r} is not an integer vertex id") from None
         if not 0 <= v < n:
             raise ValueError(f"seed vertex {v} is not a vertex of the graph (0..{n - 1})")
+        ids.append(v)
     return vset(ids)
 
 
@@ -157,9 +162,7 @@ def cmd_classify(args):
 
 def cmd_verify(args):
     if args.suite != "all" and args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; choices: all, {', '.join(SUITES)}",
-              file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"unknown suite {args.suite!r}; choices: all, {', '.join(SUITES)}")
     outcomes = run_suites(None if args.suite == "all" else [args.suite])
     if args.json:
         print(json.dumps([o.to_dict() for o in outcomes], indent=2))

@@ -65,30 +65,19 @@ class Graph:
 def bits(mask):
     """Yield the set bit positions of ``mask`` in ascending order.
 
-    A mask of at most 64 bits gives up its lowest bit one step at a time
-    (``mask & -mask``).  A wider mask does so for its first 16 bits, where a
-    sparse row of a large graph ends, shifting what is left down past each
-    bit so that it narrows as it goes.  The rest is cut once into 64-bit
-    words, lowest first, and each word is walked with word-sized ints: a
-    dense graph-wide mask costs one pass over its words, not a graph-wide
-    int per bit.  A generator, so a caller may stop early.
+    A mask of at most 64 bits, or with at most 16 set bits, gives up its
+    lowest bit one step at a time (``mask & -mask``).  Any other mask is cut
+    once into 64-bit words, lowest first, and each word is walked with
+    word-sized ints: a dense graph-wide mask costs one pass over its words,
+    not a graph-wide int per bit.  A generator, so a caller may stop early.
     """
-    if mask.bit_length() <= 64:
+    if mask.bit_length() <= 64 or mask.bit_count() <= 16:
         while mask:
             low = mask & -mask
             yield low.bit_length() - 1
             mask ^= low
         return
-    base = -1  # the position of bit 0 of what is left, minus one
-    left = 16
-    while left:
-        step = (mask & -mask).bit_length()
-        base += step
-        yield base
-        mask >>= step
-        if not mask:
-            return
-        left -= 1
+    base = -1  # the position of bit 0 of the current word, minus one
     for word in memoryview(mask.to_bytes((mask.bit_length() + 63) // 64 * 8, byteorder)).cast("Q"):
         while word:
             low = word & -word

@@ -203,3 +203,58 @@ def test_seed_set_must_name_vertices(capsys):
     assert main(["simulate", "--graph", "k4", "--seed-set", "0,-1", "-k", "2"]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert "-1" in err and "shift count" not in err
+
+
+def test_seed_set_token_that_is_not_an_integer_names_flag_and_token(capsys):
+    assert main(["check", "--graph", "petersen", "--seed-set", "0,a", "-k", "2"]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: --seed-set entry 'a' is not an integer vertex id\n")
+
+
+def test_verify_unknown_suite_is_an_error_line(capsys):
+    assert main(["verify", "nosuch"]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: unknown suite 'nosuch'; choices: all, prop-kkk, ")
+    assert len(err.splitlines()) == 1
+
+
+def test_solve_reads_a_graph_file(capsys, tmp_path):
+    assert main(["catalog", "petersen"]) == EXIT_PASS
+    path = tmp_path / "petersen.txt"
+    path.write_text(capsys.readouterr().out)
+    assert main(["solve", "--graph", str(path), "-k", "2"]) == EXIT_PASS
+    assert capsys.readouterr().out.splitlines()[0] == "value: 3"
+
+
+def test_verify_single_suite_json(capsys):
+    assert main(["verify", "prop-kkk", "--json"]) == EXIT_PASS
+    (outcome,) = json.loads(capsys.readouterr().out)
+    assert outcome["suite"] == "prop-kkk" and outcome["passed"] is True
+    assert len(outcome["instances"]) == 68
+
+
+def test_verify_failing_suite_prints_the_failed_instance(capsys, monkeypatch):
+    from convlab import verify
+
+    monkeypatch.setitem(verify.SUITES, "always-fails", lambda: [
+        verify.Instance("holds", 1, 1), verify.Instance("one plus one", 2, 3)])
+    assert main(["verify", "always-fails"]) == EXIT_FAIL
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL  always-fails  (2 checks, ")
+    assert lines[1:] == ["      one plus one: expected 2, observed 3"]
+
+
+def test_solve_certify_rejects_a_non_minimum_result(capsys, monkeypatch):
+    from convlab.constructions import catalog_graph
+    from convlab.solver import SolveResult, ck_exact
+
+    # the optimum plus one more vertex still converts petersen, but is not minimum
+    res = ck_exact(catalog_graph("petersen"), 2)
+    extra = next(v for v in range(10) if not res.witness >> v & 1)
+    bigger = SolveResult(value=res.value + 1, witness=res.witness | 1 << extra, method="patched",
+                         nodes_explored=0, elapsed=0.0)
+    monkeypatch.setattr("convlab.cli.ck_exact", lambda g, k: bigger)
+    assert main(["solve", "--graph", "petersen", "-k", "2", "--certify"]) == EXIT_FAIL
+    out = capsys.readouterr().out
+    assert "value: 4" in out and out.splitlines()[-1] == "certified minimum: NO"

@@ -95,10 +95,14 @@ WIDE_EDGE_MASKS = [
     pytest.param((1 << 64) | 1, id="bit64-and-bit0"),
     pytest.param(1 << 2999, id="bit2999"),
     pytest.param((1 << 3000) - 1, id="all3000"),
-    # the 16 bits taken one at a time end inside a word that holds more
+    # masks past 64 bits: at most 16 set bits take the one-bit loop, 17 or
+    # more the word walk
     pytest.param(sum(1 << i for i in range(100, 117)), id="bits100-116"),
     pytest.param((1 << 16) - 1 | 1 << 2999, id="bits0-15-and-2999"),
     pytest.param((1 << 17) - 1 | 1 << 2999, id="bits0-16-and-2999"),
+    pytest.param((1 << 15) - 1 | 1 << 2999, id="bits0-14-and-2999"),
+    pytest.param((1 << 15) - 1 | 1 << 64, id="bits0-14-and-64"),
+    pytest.param((1 << 16) - 1 | 1 << 64, id="bits0-15-and-64"),
 ]
 
 
