@@ -422,6 +422,14 @@ def random_regular_graph(n, d, seed):
     returns its complement: complementing is a bijection between labelled
     d-regular and (n-1-d)-regular graphs, so the draw stays uniform, and a
     sparse pairing is simple far more often.  Deterministic for a given seed.
+
+    Each step draws its index from the s stubs left with the loop that
+    ``randrange(s)`` runs (``getrandbits(s.bit_length())`` until the value
+    is below s), so it reads the same Mersenne Twister words and every
+    (n, d, seed) gives the same graph as the plain ``randrange`` sampler.
+    A pair is the int key min*n + max, and the test for a loop or a
+    repeated pair comes before the swap-remove of the partner stub, so a
+    rejected restart does no list work.
     A pairing of degree d' = min(d, n-1-d) is simple about exp(-(d'^2-1)/4)
     of the time, so d' >= 7 practically never succeeds within the
     RANDOM_REGULAR_TRIES restarts: (20, 7) to (20, 12) all fail.
@@ -429,25 +437,29 @@ def random_regular_graph(n, d, seed):
     if n * d % 2 or d >= n or d < 0:
         raise ConstructionError(f"no {d}-regular graph on {n} vertices exists")
     dense = 2 * d > n - 1
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     all_stubs = [v for v in range(n) for _ in range(n - 1 - d if dense else d)]
+    # a step with s + 1 stubs left in stubs[:s + 1] pairs stubs[s] with one of
+    # the s before it and moves stubs[s - 1] into the hole
+    steps = [(s, s.bit_length()) for s in range(len(all_stubs) - 1, 0, -2)]
     for _ in range(RANDOM_REGULAR_TRIES):
         stubs = all_stubs.copy()
-        edges = set()
-        while stubs:
-            a = stubs.pop()
-            i = rng.randrange(len(stubs))
+        keys = set()
+        for s, k in steps:
+            i = getrandbits(k)
+            while i >= s:
+                i = getrandbits(k)
+            a = stubs[s]
             b = stubs[i]
-            stubs[i] = stubs[-1]
-            stubs.pop()
-            e = (a, b) if a < b else (b, a)
-            if a == b or e in edges:
+            key = a * n + b if a < b else b * n + a
+            if a == b or key in keys:
                 break
-            edges.add(e)
+            keys.add(key)
+            stubs[i] = stubs[s - 1]
         else:
             if dense:
-                edges = {(u, v) for u in range(n) for v in range(u + 1, n)} - edges
-            return build_graph(n, sorted(edges))
+                keys = {u * n + v for u in range(n) for v in range(u + 1, n)} - keys
+            return build_graph(n, [divmod(key, n) for key in sorted(keys)])
     raise ConstructionError(f"failed to sample a simple {d}-regular graph in {RANDOM_REGULAR_TRIES} tries:"
                             f" a pairing of degree d' = min(d, n-1-d) = {min(d, n - 1 - d)} is simple"
                             f" about exp(-(d'^2-1)/4) of the time, so d' >= 7 practically never succeeds")

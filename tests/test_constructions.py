@@ -1,10 +1,14 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
 import pytest
 
+from convlab import verify
 from convlab.constructions import (
     BLOB_APEX,
+    RANDOM_REGULAR_TRIES,
     ConstructionError,
     Recipe,
     build_recipe,
@@ -387,6 +391,88 @@ def test_random_regular_dense_draws_succeed(seed):
     # pairing ran out of restarts on these two seeds
     g = random_regular_graph(12, 6, seed=seed)
     assert regular_degree(g) == 6 and g.adj == random_regular_graph(12, 6, seed=seed).adj
+
+
+def _random_regular_randrange(n, d, seed):
+    """The pairing sampler written with ``randrange`` and a set of edge
+    tuples, the form random_regular_graph must match draw for draw."""
+    if n * d % 2 or d >= n or d < 0:
+        raise ConstructionError(f"no {d}-regular graph on {n} vertices exists")
+    dense = 2 * d > n - 1
+    rng = random.Random(seed)
+    all_stubs = [v for v in range(n) for _ in range(n - 1 - d if dense else d)]
+    for _ in range(RANDOM_REGULAR_TRIES):
+        stubs = all_stubs.copy()
+        edges = set()
+        while stubs:
+            a = stubs.pop()
+            i = rng.randrange(len(stubs))
+            b = stubs[i]
+            stubs[i] = stubs[-1]
+            stubs.pop()
+            e = (a, b) if a < b else (b, a)
+            if a == b or e in edges:
+                break
+            edges.add(e)
+        else:
+            if dense:
+                edges = {(u, v) for u in range(n) for v in range(u + 1, n)} - edges
+            return build_graph(n, sorted(edges))
+    raise ConstructionError(f"failed to sample a simple {d}-regular graph")
+
+
+def _same_draw(n, d, seed):
+    """The adjacency both samplers return for (n, d, seed), or None when
+    both raise ConstructionError."""
+    try:
+        want = _random_regular_randrange(n, d, seed).adj
+    except ConstructionError:
+        want = None
+    try:
+        got = random_regular_graph(n, d, seed).adj
+    except ConstructionError:
+        got = None
+    assert got == want, (n, d, seed)
+    return got
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_random_regular_matches_randrange_sampler(d):
+    # every n from 4 to 30 at seeds 0-4: odd n*d and d >= n raise on both
+    # sides, and 2d > n - 1 takes the complement; a 6-regular pairing
+    # (d = 6, n >= 13) restarts thousands of times per draw, so it takes
+    # seed 0 alone
+    drawn = [_same_draw(n, d, seed) for n in range(4, 31)
+             for seed in range(1 if d == 6 and n >= 13 else 5)]
+    assert any(adj is not None for adj in drawn)
+
+
+@pytest.mark.parametrize("n, d, seed", [(500, 3, 1), (1000, 4, 2), (3000, 4, 3), (2000, 3, 4),
+                                        (12, 6, 3), (20, 13, 1), (20, 6, 1)])
+def test_random_regular_matches_randrange_sampler_large_and_dense(n, d, seed):
+    # pools past 2**10 and 2**13 stubs, and dense draws by complement
+    assert _same_draw(n, d, seed) is not None
+
+
+# sha256 of the JSON list of the sorted edge lists that suite_characterization
+# (prop-kplusrimmunesets) draws, in its order, as the randrange sampler drew
+# them; a change to that suite's samples shows here
+CHARACTERIZATION_SAMPLES_SHA256 = "b261a40a86c7a806ac5934443ed177004cabbd9f89d8c4d3d4dfd79ab1dd277b"
+
+
+def test_random_regular_characterization_samples_pinned(monkeypatch):
+    drawn = []
+
+    def recording(n, d, seed):
+        g = random_regular_graph(n, d, seed)
+        drawn.append(g.edges())
+        return g
+
+    monkeypatch.setattr(verify, "random_regular_graph", recording)
+    verify.suite_characterization()
+    assert len(drawn) == 120
+    digest = hashlib.sha256(json.dumps(drawn).encode()).hexdigest()
+    assert digest == CHARACTERIZATION_SAMPLES_SHA256
 
 
 def test_build_recipe_dispatch():

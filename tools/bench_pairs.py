@@ -74,11 +74,22 @@ def time_kernels():
     vertices: ``bits`` over a dense (half the bits) and a sparse (10 bits)
     mask, and ``run_process`` and ``residual_core`` at k = 2 on
     random_regular_graph(3000, 4, seed=1) from a seed of density 0.2, which
-    converts everything in about ten layers."""
+    converts everything in about ten layers; and for the pairing sampler:
+    the 120 (n, d, seed) draws of verify.suite_characterization, rebuilt
+    from its own random.Random(20260823) choices, and
+    random_regular_graph(3000, 4, seed=1) itself."""
     import random
 
     from convlab import constructions, graph, process
 
+    rng = random.Random(20260823)
+    draws = []
+    for i in range(120):  # the suite's calls, including the n random() of its seed set
+        d = rng.choice([3, 4, 5])
+        n = rng.choice([8, 10, 12, 14])
+        for _ in range(n):
+            rng.random()
+        draws.append((n, d, 20260823 + i))
     rng = random.Random(1)
     g = constructions.random_regular_graph(3000, 4, seed=1)
     dense = sum(1 << v for v in range(3000) if rng.random() < 0.5)
@@ -89,6 +100,8 @@ def time_kernels():
         "bits_sparse3000": lambda: list(graph.bits(sparse)),
         "run_process_rr3000": lambda: process.run_process(g, seed, 2),
         "residual_core_rr3000": lambda: process.residual_core(g, g.full_mask & ~seed, 2),
+        "random_regular_suite": lambda: [constructions.random_regular_graph(*draw) for draw in draws],
+        "random_regular_rr3000": lambda: constructions.random_regular_graph(3000, 4, seed=1),
     }
     out = {}
     for name, call in kernels.items():
