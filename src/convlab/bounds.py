@@ -80,11 +80,13 @@ def lower_bounds(g, k):
 
 
 def upper_bounds_cubic(g):
-    """Upper bounds on the 2-conversion number of a cubic graph of order > 4."""
+    """Upper bounds on c_2 of a connected cubic graph of order > 4; none if g is disconnected."""
     if not is_cubic(g):
         raise ValueError("cubic upper bounds require a cubic graph")
     if g.n <= 4:
         raise ValueError("cubic upper bounds require order > 4")
+    if not is_connected(g):
+        return []  # theorems about connected graphs: 2K4 has c_2 = 4 > 3n/8
     n = g.n
     out = []
     if is_tree_gadget_graph(g):
@@ -98,7 +100,7 @@ def upper_bounds_cubic(g):
     if triangle_free(g) and n != 8:
         out.append(_upper("one-third", Fraction(n, 3), "Zheng-Lu"))
     # a cubic graph has a cut vertex iff it has a bridge
-    if is_connected(g) and not bridges(g):
+    if not bridges(g):
         out.append(_upper("two-connected", Fraction(n + 2, 3), "Dross et al."))
     return out
 

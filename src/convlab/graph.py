@@ -95,6 +95,8 @@ def vset(vertices):
 
 
 def vset_members(mask):
+    if mask < 0:
+        raise ValueError(f"vertex set mask {mask} is negative")
     return list(bits(mask))
 
 

@@ -2,13 +2,14 @@
 
 ``ck_exact`` is the one solver: a branch and bound over the complement of
 the seed set (see ``search``) for every graph and threshold.  ``ck_oracle``
-and ``verify_witness`` (the CLI's ``--certify``) are brute force, guarded at
-n <= 30, and serve as cross-checks.
+and ``verify_witness`` (the CLI's ``--certify``) are brute force within
+SWEEP_LIMIT subsets (``subset_sweep``), and serve as cross-checks.
 """
 
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .graph import vset
 from .process import _threshold, is_conversion_set
@@ -17,7 +18,7 @@ from .search import max_r_degenerate_set
 ORACLE = "Oracle"
 COMPLEMENT_BNB = "ComplementBnB"
 
-ORACLE_GUARD = 30
+SWEEP_LIMIT = 200_000  # subsets one brute-force check may try
 
 
 class OracleGuardExceeded(ValueError):
@@ -45,21 +46,27 @@ def forest_number(g):
     return size
 
 
+def subset_sweep(g, size, spent=0):
+    """The vertex sets of g with ``size`` members as bitmasks, in lexicographic
+    order; refused before any is tried if spent + C(n, size) > SWEEP_LIMIT."""
+    if spent + comb(g.n, size) > SWEEP_LIMIT:
+        raise OracleGuardExceeded(f"brute-force sweep refused: {spent} subsets tried"
+                                  f" + C({g.n}, {size}) exceeds {SWEEP_LIMIT}")
+    return map(vset, combinations(range(g.n), size))
+
+
 def ck_oracle(g, k):
     """Brute force: smallest conversion set by increasing subset size.
 
-    The witness is the lexicographically least minimum (combinations are
-    generated in lexicographic order).  Guarded by vertex count; tests use
-    it to cross-check ck_exact.
+    The witness is the lexicographically least minimum and nodes_explored
+    the subsets tried; all sizes share one SWEEP_LIMIT budget.  Tests use it
+    to cross-check ck_exact.
     """
-    if g.n > ORACLE_GUARD:
-        raise OracleGuardExceeded(f"oracle guard exceeded: n={g.n} > {ORACLE_GUARD}")
     start = time.perf_counter()
     tried = 0
     for size in range(g.n + 1):
-        for combo in combinations(range(g.n), size):
+        for mask in subset_sweep(g, size, tried):
             tried += 1
-            mask = vset(combo)
             if is_conversion_set(g, mask, k):
                 return SolveResult(
                     value=size,
@@ -99,16 +106,9 @@ def ck_exact(g, k):
 
 def verify_witness(g, k, result):
     """Re-verify a SolveResult: the witness converts, has the right size,
-    and no smaller conversion set exists (oracle sweep, guarded)."""
-    if result.witness.bit_count() != result.value:
+    and no smaller conversion set exists (subset_sweep, within its budget)."""
+    if result.witness.bit_count() != result.value or not is_conversion_set(g, result.witness, k):
         return False
-    if not is_conversion_set(g, result.witness, k):
-        return False
-    if result.value == 0:
-        return True  # no set is smaller than the empty one
-    if g.n > ORACLE_GUARD:
-        raise OracleGuardExceeded(f"minimality check guard exceeded: n={g.n}")
-    for combo in combinations(range(g.n), result.value - 1):
-        if is_conversion_set(g, vset(combo), k):
-            return False
-    return True
+    # no set is smaller than the empty one
+    return result.value == 0 or not any(is_conversion_set(g, s, k)
+                                        for s in subset_sweep(g, result.value - 1))

@@ -8,7 +8,6 @@ replayable; run_suites executes the requested suites one after another.
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import ceil
 
 from .bounds import (
@@ -48,7 +47,7 @@ from .process import (
     run_process,
 )
 from .search import max_r_degenerate_set
-from .solver import ck_exact, verify_witness
+from .solver import ck_exact, subset_sweep, verify_witness
 from .structure import (
     CLASS1,
     CLASS2,
@@ -334,12 +333,8 @@ def suite_block_quota():
     value = ck_exact(g, 2).value
     _check(out, "path-replacement(2,1): minimum size is two per block", 4, value)
     blocks = [vset(range(5)), vset(range(5, 10))]
-    ok = True
-    for combo in combinations(range(g.n), value):
-        if not is_conversion_set(g, vset(combo), 2):
-            continue
-        if any((vset(combo) & b).bit_count() != 2 for b in blocks):
-            ok = False
+    ok = all((s & b).bit_count() == 2 for s in subset_sweep(g, value)
+             if is_conversion_set(g, s, 2) for b in blocks)
     _check(out, "path-replacement(2,1): every minimum set meets each block twice",
            True, ok)
     return out

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import ceil
 
@@ -15,6 +16,8 @@ from convlab.constructions import (catalog, path_replacement, random_regular_gra
                                    tree_gadget_graph, triangle_replace)
 from convlab.graph import (are_isomorphic, build_graph, circulant_graph, complete_graph, disjoint_union,
                            path_graph, vset)
+from convlab.cli import EXIT_PASS, main
+from convlab.fileio import to_edge_list
 from convlab.solver import ck_exact, ck_oracle
 from convlab.structure import is_k_connected, triangle_free
 
@@ -143,6 +146,24 @@ def test_two_connected_entry_matches_vertex_connectivity():
     for g in graphs:
         names = [e.name for e in upper_bounds_cubic(g)]
         assert ("two-connected" in names) == is_k_connected(g, 2), g.edges()
+
+
+def test_cubic_upper_bounds_hold_on_disconnected_graphs(capsys, tmp_path):
+    # 3n/8 is 3 on 2K4 and n/3 is 16/3 on g1 + g2, below c_2 = 4 and 6: the
+    # bounds are theorems about connected graphs
+    cat = catalog()
+    graphs = {"2k4": disjoint_union(cat["k4"], cat["k4"]),
+              "g1+g2": disjoint_union(cat["g1"], cat["g2"]),
+              "k4+petersen": disjoint_union(cat["k4"], cat["petersen"])}
+    for name, g in graphs.items():
+        value = ck_exact(g, 2).value
+        assert all(e.integer_value >= value for e in upper_bounds_cubic(g)), name
+        path = tmp_path / f"{name}.txt"
+        path.write_text(to_edge_list(g))
+        assert main(["bounds", "--graph", str(path), "-k", "2", "--json"]) == EXIT_PASS
+        entries = json.loads(capsys.readouterr().out)
+        assert entries and all(e["integer_value"] >= value for e in entries
+                               if e["kind"] == "upper"), name
 
 
 def test_tree_gadget_exact_entry():

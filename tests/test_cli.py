@@ -227,6 +227,16 @@ def test_solve_reads_a_graph_file(capsys, tmp_path):
     assert capsys.readouterr().out.splitlines()[0] == "value: 3"
 
 
+def test_solve_certify_refuses_a_sweep_past_the_budget(capsys, tmp_path):
+    # c_2 of the 30-vertex path is 16: the minimality check would sweep
+    # C(30, 15) = 155,117,520 sets
+    path = tmp_path / "p30.txt"
+    path.write_text("30 29\n" + "".join(f"{v} {v + 1}\n" for v in range(29)))
+    assert main(["solve", "--graph", str(path), "-k", "2", "--certify"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: brute-force sweep refused") and len(err.splitlines()) == 1
+
+
 def test_verify_single_suite_json(capsys):
     assert main(["verify", "prop-kkk", "--json"]) == EXIT_PASS
     (outcome,) = json.loads(capsys.readouterr().out)

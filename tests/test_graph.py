@@ -83,6 +83,13 @@ def test_vset_roundtrip():
     assert mask.bit_count() == 3
 
 
+def test_vset_members_rejects_a_negative_mask():
+    # bits(-1) never ends: a negative int has infinitely many set bits
+    for mask in (-1, -(1 << 70), -6):
+        with pytest.raises(ValueError, match="negative"):
+            vset_members(mask)
+
+
 def _plain_scan(mask, width):
     """Set bit positions of ``mask`` below ``width``, one shift per position."""
     return [i for i in range(width) if mask >> i & 1]

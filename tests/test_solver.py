@@ -1,3 +1,5 @@
+from math import comb
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from convlab.graph import (
 from convlab.process import is_conversion_set
 from convlab.solver import (
     ORACLE,
-    ORACLE_GUARD,
+    SWEEP_LIMIT,
     OracleGuardExceeded,
     ck_exact,
     ck_oracle,
@@ -24,6 +26,7 @@ from convlab.solver import (
     independence_number,
     verify_witness,
 )
+from convlab.verify import run_suite
 
 EXPECTED_C2 = {
     "k4": 2,
@@ -72,8 +75,53 @@ def test_oracle_witness_lex_least():
 
 
 def test_oracle_guard():
+    # C31 needs 16 seeds; sizes 0 to 4 take 36,457 subsets and size 5 would
+    # pass the budget, so the oracle refuses before it tries any of size 5
+    assert sum(comb(31, size) for size in range(5)) == 36457
+    assert 36457 + comb(31, 5) > SWEEP_LIMIT == 200_000
+    with pytest.raises(OracleGuardExceeded, match=r"^brute-force sweep refused: 36457 subsets tried"):
+        ck_oracle(cycle_graph(31), 2)
+
+
+def test_oracle_budget_counts_subsets_not_vertices():
+    res = ck_oracle(cycle_graph(40), 1)
+    assert (res.value, res.nodes_explored, res.witness) == (1, 2, 1)
+
+
+def test_oracle_subset_counts_pinned():
+    cat = catalog()
+    assert ck_oracle(cat["petersen"], 2).nodes_explored == 70
+    assert ck_oracle(cat["dodecahedron"], 2).nodes_explored == 22571
+
+
+def test_verify_witness_refuses_a_sweep_past_the_budget(monkeypatch):
+    # c_2 of the 30-vertex path is 16: the check would sweep C(30, 15) sets
+    g = path_graph(30)
+    res = ck_exact(g, 2)
+    assert res.value == 16 and comb(30, 15) > SWEEP_LIMIT
+    calls = []
+    monkeypatch.setattr("convlab.solver.is_conversion_set",
+                        lambda *a: calls.append(a) or is_conversion_set(*a))
     with pytest.raises(OracleGuardExceeded):
-        ck_oracle(cycle_graph(ORACLE_GUARD + 1), 2)
+        verify_witness(g, 2, res)
+    assert len(calls) == 1  # the witness itself, and no set of the sweep
+
+
+def test_verify_witness_certifies_past_thirty_vertices():
+    g = cycle_graph(40)
+    assert verify_witness(g, 1, ck_exact(g, 1))
+
+
+def test_block_quota_suite_instances_unchanged():
+    outcome = run_suite("lemma-buildingblocks")
+    got = [(i["description"], i["observed"], i["passed"]) for i in outcome.to_dict()["instances"]]
+    expected = []
+    for i in range(1, 5):
+        expected += [(f"block {i}: designated pair converts the block", "True", True),
+                     (f"block {i}: no vertex lies on every cycle", "True", True)]
+    expected += [("path-replacement(2,1): minimum size is two per block", "4", True),
+                 ("path-replacement(2,1): every minimum set meets each block twice", "True", True)]
+    assert got == expected
 
 
 def test_cycle_values():
@@ -205,10 +253,24 @@ def test_degree_below_threshold_seeds_everything():
         assert res.method != ORACLE
 
 
-def test_exact_never_reports_oracle():
+def _never_reports_oracle_graphs():
     cat = catalog()
-    graphs = [cat["petersen"], cat["k4"], path_graph(7), empty_graph(2),
-              disjoint_union(cycle_graph(5), complete_graph(5))]
-    for g in graphs:
+    return [cat["petersen"], cat["k4"], path_graph(7), empty_graph(2),
+            disjoint_union(cycle_graph(5), complete_graph(5))]
+
+
+def test_exact_never_reports_oracle():
+    for g in _never_reports_oracle_graphs():
         for k in range(1, 6):
             assert ck_exact(g, k).method != ORACLE
+
+
+def test_exact_never_calls_oracle(monkeypatch):
+    def refuse(g, k):
+        pytest.fail("ck_exact called ck_oracle")
+
+    monkeypatch.setattr("convlab.solver.ck_oracle", refuse)
+    for g in _never_reports_oracle_graphs():
+        for k in range(1, 6):
+            res = ck_exact(g, k)
+            assert is_conversion_set(g, res.witness, k)
