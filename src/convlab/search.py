@@ -45,6 +45,16 @@ with the package's one peel, ``structure.degeneracy_peel``, and the same
 per-vertex thresholds; an incumbent dropping v from a stuck core re-checks
 only v's neighbours.
 
+The cycle packing is carried down the stack: both children inherit their
+parent's cycles of kept | undecided, whose remainder holds no cycle.  A
+child keeps the cycles still inside its own set, and as a subset of an
+acyclic remainder is acyclic, new cycles can only run through the vertices
+a broken cycle freed, so the greedy packing is rerun on the set minus the
+intact cycles alone.  Removing one vertex breaks at most one cycle; a
+repair that ends with fewer cycles than the parent's packing falls back to
+a fresh greedy packing of the whole set.  Either way the cycles are
+vertex-disjoint and inside the node's set, so the bound stays valid.
+
 The incumbent of each component is a greedy peelable set, improved at the
 root by a seeded local search with a fixed move budget that takes only moves
 losing no vertex and stops once it meets the root upper bound.  On random
@@ -197,10 +207,12 @@ def max_r_degenerate_set(g, r, within=None):
     or a sequence indexed by vertex; every threshold on ``within`` must be
     >= 0.  Returns (size, mask, nodes_explored).  Deterministic: branches on
     the undecided vertex with the largest deg_sub(v) - r[v] (ties by lowest
-    id), removal first, after the safe moves, the per-vertex edge bound and
-    bound-driven keep forcing of the module docstring.  Each component of
-    G[within] is searched on its own, or, when its thresholds are all 1,
-    each piece left after deleting its bridges; the results add up.  Each
+    id), removal first, after the safe moves, the per-vertex edge bound, the
+    cycle packing (when no threshold exceeds 1; carried down the stack and
+    repaired where a child's set breaks a cycle) and bound-driven keep
+    forcing of the module docstring.  Each component of G[within] is
+    searched on its own, or, when its thresholds are all 1, each piece left
+    after deleting its bridges; the results add up.  Each
     search starts from the greedy incumbent plus a seeded local search of
     at most MOVES_PER_VERTEX moves per vertex, run at the root only when the
     greedy set falls short of the root bound and stopped as soon as it meets
@@ -257,8 +269,10 @@ def _max_connected(g, r, within):
     # the first vertex of X peeled has at least `slack` neighbours outside
     # X, all of them reached from the component
     ceiling = reach.bit_count() - slack
-    # depth first over a stack of (kept, undecided, packing): packing is the
-    # cycle-packing size of kept | undecided if known (a keep child's is its parent's)
+    # depth first over a stack of (kept, undecided, packing): packing is a
+    # tuple of vertex-disjoint cycles of the parent's kept | undecided whose
+    # remainder is acyclic, inherited by both children (None at the root and
+    # when cycles bound nothing)
     stack = [(0, within, None)]
     while stack:
         kept, undecided, packing = stack.pop()
@@ -277,9 +291,7 @@ def _max_connected(g, r, within):
                 for v in bits(kept & zero):
                     blocked |= adj[v]
                 blocked &= undecided & zero
-                if blocked:
-                    undecided &= ~blocked
-                    packing = None
+                undecided &= ~blocked
             sub = kept | undecided
             moved = 0
             verts, degs = [], []
@@ -326,8 +338,21 @@ def _max_connected(g, r, within):
                     break
             if packing_bound:
                 if packing is None:
-                    packing = len(greedy_cycle_packing(g, sub))
-                upper = min(upper, n_sub - packing)
+                    packing = tuple(greedy_cycle_packing(g, sub))
+                else:
+                    # the cycles still inside sub stay; a subset of an acyclic
+                    # remainder is acyclic, so only a broken cycle's freed
+                    # vertices can close new ones
+                    intact = tuple(c for c in packing if not c & ~sub)
+                    if len(intact) < len(packing):
+                        free = sub
+                        for c in intact:
+                            free &= ~c
+                        repaired = intact + tuple(greedy_cycle_packing(g, free))
+                        if len(repaired) < len(packing):
+                            repaired = tuple(greedy_cycle_packing(g, sub))
+                        packing = repaired
+                upper = min(upper, n_sub - len(packing))
                 if upper <= best:
                     break
             if root:
@@ -362,6 +387,6 @@ def _max_connected(g, r, within):
             rest = undecided & ~bit
             if (adj[v] & kept).bit_count() <= r[v] or not degeneracy_peel(g, kept | bit, r):
                 stack.append((kept | bit, rest, packing))
-            stack.append((kept, rest, None))
+            stack.append((kept, rest, packing))
             break
     return best, best_mask, nodes

@@ -143,6 +143,12 @@ def test_node_count_pins():
     assert max_r_degenerate_set(c24, 2)[2] == 3618
     res = ck_exact(circulant_graph(20, (1, 2, 10)), 4)
     assert (res.value, res.nodes_explored) == (9, 187)
+    # thresholds 1: the cycle packing carried down the stack is the bound
+    # that prunes
+    res = ck_exact(cycle_replacement(3, 2), 2)
+    assert (res.value, res.nodes_explored) == (6, 400)
+    res = ck_exact(cycle_replacement(4, 2), 2)
+    assert (res.value, res.nodes_explored) == (8, 10484)
 
 
 @pytest.mark.parametrize("a, b, k, pin", [(2, 8, 2, (5, 74)), (5, 5, 3, (12, 66)),
@@ -186,9 +192,11 @@ def test_random_cubic_200_node_count_pins(seed):
 
 def test_random_4_regular_80_node_count_pins():
     # r = 1 at k = 3: the walk stops one short of the Staton bound, 27 seeds,
-    # which the branch and bound then reaches and proves
+    # which the branch and bound then reaches and proves.  A packing repaired
+    # from the parent's can hold more cycles than a fresh greedy one, so
+    # re-packing every remove child from nothing takes 262 nodes
     res = ck_exact(random_regular_graph(80, 4, seed=5), 3)
-    assert (res.value, res.nodes_explored) == (27, 262)
+    assert (res.value, res.nodes_explored) == (27, 251)
 
 
 @pytest.mark.parametrize("seed", range(1, 4))
@@ -252,6 +260,14 @@ def _is_forest(g, mask):
     return True
 
 
+def _largest_subset(within, ok):
+    """Size of a largest subset s of within with ok(s), by enumerating the
+    subsets from the largest size down."""
+    verts = list(bits(within))
+    return next(size for size in range(len(verts), -1, -1)
+                if any(ok(sum(1 << v for v in combo)) for combo in combinations(verts, size)))
+
+
 def _bridged_graph(rng):
     """Random 2-edge-connected blocks (a cycle plus chords) joined into a
     tree by bridges, with pendant trees hung on: at most 14 vertices."""
@@ -280,10 +296,7 @@ def test_forest_number_with_bridges_matches_subset_enumeration():
     for trial in range(300):
         g = _bridged_graph(rng)
         within = g.full_mask if trial % 3 == 0 else rng.randrange(1 << g.n)
-        verts = list(bits(within))
-        best = next(size for size in range(len(verts), -1, -1)
-                    if any(_is_forest(g, sum(1 << v for v in combo))
-                           for combo in combinations(verts, size)))
+        best = _largest_subset(within, lambda s: _is_forest(g, s))
         size, mask, _ = max_r_degenerate_set(g, 1, within)
         assert size == best == mask.bit_count()
         assert not mask & ~within and _is_forest(g, mask)
@@ -430,6 +443,33 @@ def test_mixed_thresholds_match_brute_force(monkeypatch, moves):
             r = [rng.randrange(4) for _ in range(n)]
         within = g.full_mask if rng.random() < 0.5 else rng.randrange(1 << n)
         best = max(s.bit_count() for s in range(1 << n) if not s & ~within and _naive_peels(g, s, r))
+        size, mask, _ = max_r_degenerate_set(g, r, within)
+        assert size == best == mask.bit_count()
+        assert not mask & ~within and _naive_peels(g, mask, r)
+
+
+@pytest.mark.parametrize("moves", [0, search.MOVES_PER_VERTEX])
+def test_carried_cycle_packing_matches_subset_enumeration(monkeypatch, moves):
+    # every threshold at most 1, so the cycle packing bounds the search:
+    # random graphs and random 3- and 4-regular graphs on at most 14
+    # vertices, some thresholds 0 (a kept one blocks its threshold-0
+    # neighbours, which can break a packed cycle) and random masks.
+    # Without local-search moves the branch and bound alone must climb from
+    # the greedy incumbent, so a packing that still counts a cycle the
+    # node no longer holds prunes an improving X and shows in the value
+    monkeypatch.setattr(search, "MOVES_PER_VERTEX", moves)
+    rng = random.Random(2411)
+    for trial in range(400):
+        if trial % 2:
+            n = rng.randrange(4, 15)
+            p = rng.choice((0.2, 0.3, 0.45))
+            g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        else:
+            g = random_regular_graph(rng.randrange(3, 8) * 2, rng.choice((3, 4)), seed=rng.randrange(10**6))
+        zero = rng.choice((0.0, 0.1, 0.25))
+        r = [0 if rng.random() < zero else 1 for _ in range(g.n)]
+        within = g.full_mask if trial % 3 == 0 else rng.randrange(1 << g.n)
+        best = _largest_subset(within, lambda s: _naive_peels(g, s, r))
         size, mask, _ = max_r_degenerate_set(g, r, within)
         assert size == best == mask.bit_count()
         assert not mask & ~within and _naive_peels(g, mask, r)

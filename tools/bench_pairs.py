@@ -33,6 +33,7 @@ LADDER = {
     "circulant20-1-2-10": ("circulant_graph", (20, (1, 2, 10)), 4),
     **{f"random5reg{n}-seed{s}": ("random_regular_graph", (n, 5, s), 3)
        for n in (24, 30) for s in (1, 2, 3)},
+    **{f"random4reg80-seed{s}": ("random_regular_graph", (80, 4, s), 3) for s in (2, 3, 5, 6)},
     "grid4x5": ("grid", (4, 5), 2),
     "grid5x5": ("grid", (5, 5), 2),
     "grid2x8": ("grid", (2, 8), 2),
