@@ -130,13 +130,13 @@ def from_edge_list(text: str) -> Graph:
 def load_graph(text: str) -> Graph:
     """Autodetect edge-list vs graph6 by the first byte.
 
-    Edge-list lines start with a decimal digit (ASCII < 63); graph6 bytes are
-    all in the printable range 63..126, after an optional ">>graph6<<"
-    header that from_graph6 strips.
+    Edge-list text starts with a decimal digit or a "#" comment line (ASCII
+    < 63); graph6 bytes are all in the printable range 63..126, after an
+    optional ">>graph6<<" header that from_graph6 strips.
     """
     stripped = text.strip()
     if not stripped:
         raise FormatError("empty graph input")
-    if stripped[0].isdigit():
+    if stripped[0].isdigit() or stripped[0] == "#":
         return from_edge_list(text)
     return from_graph6(stripped)

@@ -50,10 +50,11 @@ parent's cycles of kept | undecided, whose remainder holds no cycle.  A
 child keeps the cycles still inside its own set, and as a subset of an
 acyclic remainder is acyclic, new cycles can only run through the vertices
 a broken cycle freed, so the greedy packing is rerun on the set minus the
-intact cycles alone.  Removing one vertex breaks at most one cycle; a
-repair that ends with fewer cycles than the parent's packing falls back to
-a fresh greedy packing of the whole set.  Either way the cycles are
-vertex-disjoint and inside the node's set, so the bound stays valid.
+intact cycles alone (at the root, which inherits none, on the whole set).
+Removing one vertex breaks at most one cycle; a repair with fewer cycles
+than the parent's packing falls back to a fresh greedy packing of the
+whole set.  Either way the cycles are vertex-disjoint and inside the
+node's set, so the bound stays valid.
 
 The incumbent of each component is a greedy peelable set, improved at the
 root by a seeded local search with a fixed move budget that takes only moves
@@ -68,8 +69,9 @@ by the interpreter's recursion limit.
 import random
 from heapq import heapify, heappop, heappush
 
+from . import structure
 from .graph import bits, components
-from .structure import _shortest_cycle_root, bridge_pieces, degeneracy_peel
+from .structure import bridge_pieces, degeneracy_peel
 
 # The local search's move budget per vertex of a component and its seed:
 # fixed, so node counts and witnesses do not depend on the machine or the run.
@@ -78,49 +80,25 @@ LOCAL_SEARCH_SEED = 1
 
 
 def shortest_cycle(g, mask):
-    """Vertex mask of one shortest cycle inside G[mask], or 0 if acyclic.
-
-    The girth scan names the lowest vertex on a shortest cycle; a BFS from
-    it returns the first cycle of that length it closes.
-    """
-    length, root, core = _shortest_cycle_root(g, g.vertex_set(mask))
-    if length is None:
-        return 0
-    dist = {root: 0}
-    parent = {root: -1}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in bits(g.adj[u] & core):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    nxt.append(w)
-                elif w != parent[u] and dist[w] >= dist[u] and dist[u] + dist[w] + 1 == length:
-                    cyc = 0
-                    for x in (u, w):
-                        while x != -1:
-                            cyc |= 1 << x
-                            x = parent[x]
-                    return cyc
-        frontier = nxt
-    raise RuntimeError(f"internal error: no cycle of length {length} through {root}")
+    """Vertex mask of one shortest cycle inside G[mask], or 0 if acyclic:
+    the cycle of ``structure.girth``'s scan (see ``_shortest_cycle``)."""
+    return structure._shortest_cycle(g, g.vertex_set(mask))[1]
 
 
 def greedy_cycle_packing(g, mask=None):
     """Greedy vertex-disjoint cycle packing (shortest cycle first).
 
-    Returns the list of cycle masks; its length is a valid lower bound on
-    the number of vertices any decycling set must contain.
+    Returns the tuple of cycle masks, the form the search carries down its
+    stack; its length is a valid lower bound on the number of vertices any
+    decycling set must contain.
     """
     cur = g.vertex_set(mask)
-    packing = []
+    packing = ()
     while True:
         cyc = shortest_cycle(g, cur)
         if not cyc:
             return packing
-        packing.append(cyc)
+        packing += (cyc,)
         cur &= ~cyc
 
 
@@ -337,21 +315,18 @@ def _max_connected(g, r, within):
                 if upper <= best:
                     break
             if packing_bound:
-                if packing is None:
-                    packing = tuple(greedy_cycle_packing(g, sub))
-                else:
-                    # the cycles still inside sub stay; a subset of an acyclic
-                    # remainder is acyclic, so only a broken cycle's freed
-                    # vertices can close new ones
-                    intact = tuple(c for c in packing if not c & ~sub)
-                    if len(intact) < len(packing):
-                        free = sub
-                        for c in intact:
-                            free &= ~c
-                        repaired = intact + tuple(greedy_cycle_packing(g, free))
-                        if len(repaired) < len(packing):
-                            repaired = tuple(greedy_cycle_packing(g, sub))
-                        packing = repaired
+                # the cycles still inside sub stay (the root inherits none);
+                # a subset of an acyclic remainder is acyclic, so only a
+                # broken cycle's freed vertices can close new ones
+                intact = tuple(c for c in packing or () if not c & ~sub)
+                if packing is None or len(intact) < len(packing):
+                    free = sub
+                    for c in intact:
+                        free &= ~c
+                    repaired = intact + greedy_cycle_packing(g, free)
+                    if len(repaired) < len(packing or ()):
+                        repaired = greedy_cycle_packing(g, sub)
+                    packing = repaired
                 upper = min(upper, n_sub - len(packing))
                 if upper <= best:
                     break

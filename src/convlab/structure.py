@@ -8,6 +8,10 @@ it decides k-conversion (``process.residual_core``) and the solver's
 feasibility checks; with a uniform r = 1 it finds the 2-core, which is
 empty iff the set induces a forest.
 
+``_shortest_cycle``, bitmask BFS level scans over the 2-core and one BFS
+that extracts a cycle, is the one shortest-cycle routine: ``girth`` reads
+its length and ``search.shortest_cycle`` its vertex mask.
+
 ``_unit_flow``, unit-capacity augmenting paths on bitmask rows, is the one
 max flow behind both vertex and edge connectivity.  ``_tree_covers``, a DFS
 forest whose tree edges carry exact bitmask covers, is the one small-edge-cut
@@ -67,33 +71,52 @@ def _closed_walk(adj, core, root, bound):
     return bound
 
 
-def _shortest_cycle_root(g, mask):
-    """(length, root, core) for a shortest cycle of G[mask]: its length,
-    the lowest vertex on one, and the 2-core of G[mask]; (None, -1, 0) if
-    G[mask] is a forest.
+def _shortest_cycle(g, mask):
+    """(length, cycle) for G[mask]: the length of a shortest cycle and the
+    vertex mask of one, or (None, 0) if G[mask] is a forest.
 
     The shortest closed walk from a vertex is a cycle through it when its
     length is the girth, so the minimum over the roots of the 2-core is the
-    girth and is first reached at the lowest vertex on a shortest cycle.
+    girth and is first reached at the lowest vertex on a shortest cycle.  A
+    BFS from that root returns the first cycle of that length it closes.
     """
     core = degeneracy_peel(g, mask, [1] * g.n)  # the 2-core
-    best = core.bit_count() + 1  # longer than any cycle
-    best_root = -1
-    for root in bits(core):
-        length = _closed_walk(g.adj, core, root, best)
-        if length < best:
-            best, best_root = length, root
-            if best == 3:  # no cycle is shorter
+    length = core.bit_count() + 1  # longer than any cycle
+    root = -1
+    for v in bits(core):
+        walk = _closed_walk(g.adj, core, v, length)
+        if walk < length:
+            length, root = walk, v
+            if length == 3:  # no cycle is shorter
                 break
-    if best_root < 0:
-        return None, -1, 0
-    return best, best_root, core
+    if root < 0:
+        return None, 0
+    dist = {root: 0}
+    parent = {root: -1}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in bits(g.adj[u] & core):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    nxt.append(w)
+                elif w != parent[u] and dist[w] >= dist[u] and dist[u] + dist[w] + 1 == length:
+                    cyc = 0
+                    for x in (u, w):
+                        while x != -1:
+                            cyc |= 1 << x
+                            x = parent[x]
+                    return length, cyc
+        frontier = nxt
+    raise RuntimeError(f"internal error: no cycle of length {length} through {root}")
 
 
 def girth(g, mask=None):
     """Length of a shortest cycle in the subgraph induced by mask, or None
     if it is a forest."""
-    return _shortest_cycle_root(g, g.vertex_set(mask))[0]
+    return _shortest_cycle(g, g.vertex_set(mask))[0]
 
 
 def triangle_free(g):

@@ -174,6 +174,14 @@ def test_stdin_pipe(capsys, monkeypatch):
     assert code == EXIT_PASS and "regular_degree: 3" in out
 
 
+def test_stdin_edge_list_with_a_leading_comment_solves(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("# t\n3 3\n0 1\n1 2\n0 2\n"))
+    assert main(["solve", "--graph", "-", "-k", "2"]) == EXIT_PASS
+    assert "value: 2" in capsys.readouterr().out.splitlines()
+
+
 def test_oversized_edge_list_header_exits_2(capsys, monkeypatch):
     import io
 

@@ -77,6 +77,12 @@ def test_load_autodetects():
     assert load_graph(to_graph6(g)).adj == g.adj
 
 
+def test_load_reads_an_edge_list_that_opens_with_a_comment():
+    # "#" (35) is no graph6 byte (63..126), and from_edge_list skips such lines
+    g = load_graph("# a triangle\n3 3\n0 1\n1 2\n0 2\n")
+    assert g.adj == complete_graph(3).adj
+
+
 def test_load_empty_rejected():
     with pytest.raises(FormatError):
         load_graph("   \n")

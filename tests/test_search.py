@@ -100,6 +100,7 @@ def test_shortest_cycle_matches_all_roots_bfs(data):
     assert shortest_cycle(g, mask) == reference_shortest_cycle(g, mask)
     assert girth(g, mask) == reference_girth(g, mask)
     assert girth(g) == reference_girth(g)
+    assert girth(g, mask) == (shortest_cycle(g, mask).bit_count() or None)
 
 
 def test_shortest_cycle_matches_on_sparse_graphs():
@@ -114,6 +115,7 @@ def test_shortest_cycle_matches_on_sparse_graphs():
         mask = sum(1 << v for v in range(h.n) if rng.random() < 0.9)
         assert shortest_cycle(h, mask) == reference_shortest_cycle(h, mask)
         assert girth(h, mask) == reference_girth(h, mask)
+        assert girth(h, mask) == (shortest_cycle(h, mask).bit_count() or None)
 
 
 def test_shortest_cycle_is_a_cycle():

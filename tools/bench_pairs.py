@@ -14,7 +14,11 @@ side and workload; --ladder adds exact node counts, values and witnesses
 of the instance ladder below, solved in-process in each checkout; an
 instance a side does not reach within LADDER_SECONDS records null there.
 --ladder also records each checkout's in-process kernel times, best of
-KERNEL_REPEATS (see time_kernels).  Standard library only.
+KERNEL_REPEATS (see time_kernels).  The kernels and the ladder run twice
+per side, in the order parent, change, change, parent, so a drift in
+machine load falls on both sides; each side keeps its faster time per
+kernel and per instance and records whether its two ladder runs agree on
+value, nodes and witness.  Standard library only.
 """
 
 import argparse
@@ -26,6 +30,7 @@ import subprocess
 import sys
 import time
 import timeit
+from operator import itemgetter
 
 # name -> (builder, its arguments, k); "grid" is the a x b grid graph
 LADDER = {
@@ -211,17 +216,20 @@ def main():
     if args.ladder:
         code = (f"import sys; sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r}); "
                 "import bench_pairs; bench_pairs.")
-        kernels = {side: json.loads(run(path, "-c", code + "time_kernels()")[-1])
-                   for side, path in sides.items()}
-        out["kernels_us"] = {name: {side: kernels[side][name] for side in sides}
-                             for name in kernels["change"]}
-        solved = {side: {r["name"]: r for r in map(json.loads, run(path, "-c", code + "solve_ladder()",
-                                                                   timeout=LADDER_SECONDS))}
-                  for side, path in sides.items()}
+        kernels = {side: [] for side in sides}
+        solved = {side: [] for side in sides}
+        for side in ("parent", "change", "change", "parent"):
+            kernels[side].append(json.loads(run(sides[side], "-c", code + "time_kernels()")[-1]))
+            solved[side].append({r["name"]: r for r in map(json.loads, run(
+                sides[side], "-c", code + "solve_ladder()", timeout=LADDER_SECONDS))})
+        out["kernels_us"] = {name: {side: min(k[name] for k in kernels[side]) for side in sides}
+                             for name in kernels["change"][0]}
         out["ladder_seconds"] = LADDER_SECONDS
         out["node_counts"] = {}
+        same = itemgetter("value", "nodes", "witness")
         for name in LADDER:
-            got = {side: solved[side].get(name) for side in sides}
+            runs = {side: [r[name] for r in solved[side] if name in r] for side in sides}
+            got = {side: min(rs, key=itemgetter("ms"), default=None) for side, rs in runs.items()}
             parent, change = got["parent"], got["change"]
             ref = change or parent or {}
             out["node_counts"][name] = {
@@ -230,6 +238,8 @@ def main():
                 "nodes": {side: r and r["nodes"] for side, r in got.items()},
                 "witness_equal": parent["witness"] == change["witness"] if parent and change else None,
                 "ms_in_process": {side: r and round(r["ms"], 2) for side, r in got.items()},
+                "runs_agree": {side: same(rs[0]) == same(rs[1]) if len(rs) == 2 else None
+                               for side, rs in runs.items()},
             }
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1)
