@@ -4,7 +4,9 @@ Vertices are dense integers 0..n-1.  Adjacency is stored as one Python int
 per vertex (bit i set iff i is a neighbour), which doubles as the vertex-set
 representation used throughout the package: a vertex set is an int bitmask.
 Python ints are arbitrary precision, so the same representation covers every
-graph size we care about.
+graph size we care about.  A Graph carries its degree sequence, counted once
+on first use, so a caller that sweeps seed sets over one graph pays the row
+popcounts once.
 """
 
 from dataclasses import dataclass
@@ -24,8 +26,24 @@ class Graph:
     adj: tuple  # tuple[int, ...], bitmask rows
     edge_count: int
 
+    @property
+    def _degrees(self):
+        """The degree sequence as a tuple, counted on first use.
+
+        It is kept in an attribute outside the dataclass fields, so ==,
+        hash and repr ignore it.  Not a functools.cached_property: that
+        writes through ``__dict__``, which on CPython 3.11 turns the
+        instance's inline attributes into a dict and makes every later read
+        of ``g.adj`` or ``g.n`` on that graph about twice as slow.
+        """
+        degs = getattr(self, "_degree_tuple", None)
+        if degs is None:
+            degs = tuple([a.bit_count() for a in self.adj])
+            object.__setattr__(self, "_degree_tuple", degs)
+        return degs
+
     def degree(self, v):
-        return self.adj[v].bit_count()
+        return self._degrees[v]
 
     def neighbors(self, v):
         return bits(self.adj[v])
@@ -43,7 +61,7 @@ class Graph:
         return out
 
     def degrees(self):
-        return [a.bit_count() for a in self.adj]
+        return list(self._degrees)
 
     @property
     def full_mask(self):

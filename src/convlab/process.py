@@ -106,7 +106,7 @@ def residual_core(g, x_mask, k):
     seeding V-X leaves unconverted, so it is empty iff V-X converts all of X.
     """
     k = _threshold(k)
-    return degeneracy_peel(g, g.vertex_set(x_mask, "x_mask"), [a.bit_count() - k for a in g.adj])
+    return degeneracy_peel(g, g.vertex_set(x_mask, "x_mask"), [d - k for d in g._degrees])
 
 
 def contains_k_immune_set(g, x_mask, k):

@@ -89,7 +89,7 @@ def ck_exact(g, k):
     """
     k = _threshold(k)
     start = time.perf_counter()
-    r = [d - k for d in g.degrees()]
+    r = [d - k for d in g._degrees]
     within = vset(v for v in range(g.n) if r[v] >= 0)
     size, kept, nodes = max_r_degenerate_set(g, r, within)
     witness = g.full_mask & ~kept

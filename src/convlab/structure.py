@@ -32,7 +32,7 @@ def regular_degree(g):
     """Common degree if g is regular, else None."""
     if g.n == 0:
         return None
-    degs = g.degrees()
+    degs = g._degrees
     d = degs[0]
     return d if degs.count(d) == g.n else None
 
@@ -42,7 +42,7 @@ def is_cubic(g):
 
 
 def max_degree(g):
-    return max(g.degrees(), default=0)
+    return max(g._degrees, default=0)
 
 
 def _closed_walk(adj, core, root, bound):

@@ -1,9 +1,13 @@
+import dataclasses
 import inspect
 import random
 
 import pytest
 
+from convlab.constructions import random_regular_graph
+from convlab.fileio import load_graph, to_graph6
 from convlab.graph import (
+    Graph,
     GraphError,
     are_isomorphic,
     bits,
@@ -175,3 +179,45 @@ def test_isomorphism_positive_and_negative():
     assert are_isomorphic(c6, shuffled)
     assert not are_isomorphic(c6, complete_bipartite(3, 3))
     assert not are_isomorphic(c6, disjoint_union(cycle_graph(3), cycle_graph(3)))
+
+
+def _gnp(n, p, seed):
+    rng = random.Random(seed)
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_degrees_returns_a_fresh_list_each_call():
+    g = cycle_graph(5)
+    first = g.degrees()
+    assert first == [2] * 5 and g.degrees() is not first
+    first[0] = 99
+    first.append(7)
+    assert g.degree(0) == 2 and g.degrees() == [2] * 5
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]), id="build_graph"),
+    pytest.param(lambda: build_graph(0, []), id="empty"),
+    pytest.param(lambda: induced_subgraph(complete_graph(7), vset([0, 2, 3, 6]))[0], id="induced_subgraph"),
+    pytest.param(lambda: disjoint_union(path_graph(4), complete_bipartite(2, 3)), id="disjoint_union"),
+    pytest.param(lambda: load_graph("5 4\n0 1\n1 2\n2 3\n0 4\n"), id="edge_list"),
+    pytest.param(lambda: load_graph(to_graph6(complete_bipartite(3, 4))), id="graph6"),
+    pytest.param(lambda: random_regular_graph(3000, 4, seed=3), id="random_regular3000"),
+    pytest.param(lambda: _gnp(200, 0.05, seed=4), id="gnp200"),
+])
+def test_degrees_cached_sequence_matches_row_popcounts(make):
+    g = make()
+    counts = [a.bit_count() for a in g.adj]
+    assert g._degrees == tuple(counts) and type(g._degrees) is tuple
+    assert g.degrees() == counts and [g.degree(v) for v in range(g.n)] == counts
+    assert g._degrees is g._degrees  # counted once, then read
+
+
+def test_degrees_cache_leaves_equality_hash_repr_and_fields_alone():
+    g = random_regular_graph(60, 3, seed=2)
+    fresh = build_graph(g.n, g.edges())
+    g.degrees()
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    assert tuple(f.name for f in dataclasses.fields(Graph)) == ("n", "adj", "edge_count")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.n = 3

@@ -78,12 +78,14 @@ def time_kernels():
     """Run inside a checkout: one JSON line of microseconds per call, the
     best of KERNEL_REPEATS timeit runs, for the bitmask kernels on 3,000
     vertices: ``bits`` over a dense (half the bits) and a sparse (10 bits)
-    mask, and ``run_process`` and ``residual_core`` at k = 2 on
-    random_regular_graph(3000, 4, seed=1) from a seed of density 0.2, which
-    converts everything in about ten layers; and for the pairing sampler:
-    the 120 (n, d, seed) draws of verify.suite_characterization, rebuilt
-    from its own random.Random(20260823) choices, and
-    random_regular_graph(3000, 4, seed=1) itself."""
+    mask; ``run_process``, ``residual_core`` and ``characterization_check``
+    at k = 2 on random_regular_graph(3000, 4, seed=1) from a seed of
+    density 0.2, which converts everything in about ten layers (the last
+    two read the graph's degree sequence, which the first call counts and
+    every later call reuses); and for the pairing sampler: the 120
+    (n, d, seed) draws of verify.suite_characterization, rebuilt from its
+    own random.Random(20260823) choices, and random_regular_graph(3000, 4,
+    seed=1) itself."""
     import random
 
     from convlab import constructions, graph, process
@@ -106,6 +108,7 @@ def time_kernels():
         "bits_sparse3000": lambda: list(graph.bits(sparse)),
         "run_process_rr3000": lambda: process.run_process(g, seed, 2),
         "residual_core_rr3000": lambda: process.residual_core(g, g.full_mask & ~seed, 2),
+        "characterization_check_rr3000": lambda: process.characterization_check(g, seed, 2),
         "random_regular_suite": lambda: [constructions.random_regular_graph(*draw) for draw in draws],
         "random_regular_rr3000": lambda: constructions.random_regular_graph(3000, 4, seed=1),
     }
